@@ -43,15 +43,11 @@ from .serialize import (
     dumps_tensor,
     load_graph,
     load_matrix,
+    load_tensors,
     loads_graph,
-    loads_tensor,
     save_tensor,
 )
-from .tensor import ClassViolationError, identity_tensor
-
-#: melon/bouquet matching convention per tensor class
-_CONVENTION = {"sym": "real", "antisym": "real",
-               "herm": "hermitian", "selfdual": "selfdual"}
+from .tensor import ClassViolationError, identity_tensor, _class_info
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,11 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      version=f"gte {__version__} (format {FORMAT_VERSION})")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=0, metavar="INT",
-                       help="worker cap; 1 forces serial (output is identical "
-                            "either way)")
-
     p = sub.add_parser("sample", help="draw ensemble tensors (NDJSON)")
     p.add_argument("--kind", required=True, choices=["gote", "gute", "gste"])
     p.add_argument("--p", required=True, type=int)
@@ -77,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", metavar="PATH")
-    add_threads(p)
 
     p = sub.add_parser("act", help="apply a group element to tensors")
     p.add_argument("--tensor", required=True, metavar="PATH")
@@ -87,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="draw a fresh Haar element per input tensor")
     p.add_argument("--seed", type=int, help="required with --haar")
     p.add_argument("--out", metavar="PATH")
-    add_threads(p)
 
     p = sub.add_parser("invariant", help="evaluate trace invariants")
     which = p.add_mutually_exclusive_group(required=True)
@@ -98,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="the whole two-vertex family")
     p.add_argument("--tensor", required=True, metavar="PATH")
     p.add_argument("--out", metavar="PATH")
-    add_threads(p)
 
     p = sub.add_parser("graphs", help="emit or check trace graphs")
     p.add_argument("--p", type=int)
@@ -110,13 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--check", metavar="PATH",
                        help="validate a graph file instead of emitting")
     p.add_argument("--out", metavar="PATH")
-    add_threads(p)
 
     p = sub.add_parser("identity", help="write the identity tensor")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--dim", required=True, type=int, metavar="N")
     p.add_argument("--out", metavar="PATH")
-    add_threads(p)
 
     p = sub.add_parser("verify", help="run a statistical verification suite")
     p.add_argument("--suite", required=True,
@@ -133,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centered", action="store_true",
                    help="isotropy only: subtract the fitted identity component "
                         "first (exploratory; always exits 0)")
-    add_threads(p)
     return top
 
 
@@ -147,9 +132,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _read_tensors(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        return [loads_tensor(ln) for ln in lines]
+        return load_tensors(path)
     except OSError as e:
         raise _InputError(f"cannot read tensor file {path}: {e.strerror}")
     except (ValueError, KeyError, TypeError) as e:
@@ -198,8 +181,7 @@ def _cmd_act(args) -> int:
 
 
 def _graphs_for(args, t) -> list[tuple[str, TraceGraph]]:
-    conv = _CONVENTION[t.class_tag]
-    flavor = "real" if conv == "real" else "parity"
+    info = _class_info(t.class_tag)
     if args.graph:
         try:
             g = load_graph(args.graph)
@@ -209,10 +191,10 @@ def _graphs_for(args, t) -> list[tuple[str, TraceGraph]]:
             raise _InputError(f"bad graph file {args.graph}: {e}")
         return [("graph", g)]
     if args.melon:
-        return [("melon", melon_graph(t.p, conv))]
+        return [("melon", melon_graph(t.p, info.melon))]
     if args.bouquet:
-        return [("bouquet", bouquet_graph(t.p, flavor))]
-    fam = enumerate_rank2(t.p, flavor)
+        return [("bouquet", bouquet_graph(t.p, info.graph))]
+    fam = enumerate_rank2(t.p, info.graph)
     return [(f"rank2[r={_cross_edges(g)}]", g) for g in fam]
 
 
@@ -340,8 +322,6 @@ class _UsageError(Exception):
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        parser.error("--threads must be nonnegative")
     handler = {
         "sample": _cmd_sample,
         "act": _cmd_act,

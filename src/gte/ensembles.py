@@ -19,19 +19,20 @@ antisymmetric parts are mean zero and live only on all-distinct classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 import numpy as np
 
 from .tensor import (
+    CLASS_TAGS,
     CanonicalTensor,
     class_count,
-    component_is_symmetric,
     frobenius_norm_sq,
     identity_tensor,
     multiplicities,
     paired_mask,
     shifted_by_identity,
+    _class_info,
     _repeated_mask,
 )
 
@@ -44,15 +45,11 @@ __all__ = [
     "sample_batch",
 ]
 
-KINDS = ("GOTE", "GUTE", "GSTE")
+#: c in the per-entry variance gamma*p/(c*Gamma); the density exponent is
+#: -kappa * ||H - beta*I||^2 / gamma with kappa = c/(2p)
+_C = {"GOTE": 1.0, "GUTE": 2.0, "GSTE": 4.0}
 
-_CLASS_OF_KIND = {"GOTE": "sym", "GUTE": "herm", "GSTE": "selfdual"}
-#: denominator factor in the per-entry variance gamma*p/(factor*Gamma)
-_VAR_FACTOR = {"GOTE": 1.0, "GUTE": 2.0, "GSTE": 4.0}
-#: kappa in the exponent -kappa * ||H - beta*I||^2 / gamma
-_KAPPA = {"GOTE": lambda p: 1.0 / (2 * p),
-          "GUTE": lambda p: 1.0 / p,
-          "GSTE": lambda p: 2.0 / p}
+KINDS = tuple(_C)
 
 
 @dataclass(frozen=True)
@@ -74,19 +71,21 @@ class EnsembleSpec:
             raise ValueError("p and N must be positive")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.kind == "GUTE" and self.p % 2:
-            raise ValueError("GUTE needs p even")
-        if self.kind == "GSTE" and self.p % 4 != 2:
-            raise ValueError("GSTE needs p = 2 mod 4")
+        _class_info(self.class_tag).check_order(self.p, f"{self.kind} tensors")
 
     @property
     def class_tag(self) -> str:
-        return _CLASS_OF_KIND[self.kind]
+        return _class_of(self.kind)
+
+
+@lru_cache(maxsize=None)
+def _class_of(kind: str) -> str:
+    return next(tag for tag in CLASS_TAGS if _class_info(tag).ensemble == kind)
 
 
 def _sigmas(spec: EnsembleSpec) -> np.ndarray:
     gam = multiplicities(spec.p, spec.N)
-    return np.sqrt(spec.gamma * spec.p / (_VAR_FACTOR[spec.kind] * gam))
+    return np.sqrt(spec.gamma * spec.p / (_C[spec.kind] * gam))
 
 
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> CanonicalTensor:
@@ -95,24 +94,19 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> CanonicalTensor:
     given generator state always produces the same tensor.
     """
     p, N = spec.p, spec.N
+    info = _class_info(spec.class_tag)
     sig = _sigmas(spec)
     mean = spec.beta * identity_tensor(p, N).values
     distinct = ~_repeated_mask(p, N)
-    if spec.kind == "GOTE":
-        vals = mean + sig * rng.standard_normal(sig.size)
-        return CanonicalTensor("sym", p, N, {(): vals})
-    if spec.kind == "GUTE":
-        h0 = mean + sig * rng.standard_normal(sig.size)
-        h1 = np.where(distinct, sig * rng.standard_normal(sig.size), 0.0)
-        return CanonicalTensor("herm", p, N, {(0,): h0, (1,): h1})
+    lead = info.lead(p)
     comps = {}
-    for eps in product(range(4), repeat=p // 2):
+    for key, symmetric in info.components(p).items():
         draw = sig * rng.standard_normal(sig.size)
-        if component_is_symmetric(eps):
-            comps[eps] = draw + (mean if not any(eps) else 0.0)
+        if symmetric:
+            comps[key] = draw + (mean if key == lead else 0.0)
         else:
-            comps[eps] = np.where(distinct, draw, 0.0)
-    return CanonicalTensor("selfdual", p, N, comps)
+            comps[key] = np.where(distinct, draw, 0.0)
+    return CanonicalTensor(info.tag, p, N, comps)
 
 
 def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
@@ -143,7 +137,8 @@ def log_density_unnormalized(t: CanonicalTensor, spec: EnsembleSpec) -> float:
         raise ValueError(f"shape mismatch: spec has (p,N)=({spec.p},{spec.N}), "
                          f"tensor ({t.p},{t.N})")
     shifted = shifted_by_identity(t, -spec.beta) if spec.beta else t
-    return -_KAPPA[spec.kind](spec.p) * frobenius_norm_sq(shifted) / spec.gamma
+    kappa = _C[spec.kind] / (2 * spec.p)
+    return -kappa * frobenius_norm_sq(shifted) / spec.gamma
 
 
 def expected_frobenius_sq(spec: EnsembleSpec) -> float:
@@ -153,23 +148,14 @@ def expected_frobenius_sq(spec: EnsembleSpec) -> float:
     GOTE(0, gamma) this collapses to gamma * p * C(N+p-1, p).
     """
     p, N = spec.p, spec.N
+    info = _class_info(spec.class_tag)
     gam = multiplicities(p, N)
     K = class_count(p, N)
-    distinct = ~_repeated_mask(p, N)
-    D = int(np.sum(distinct))
-    var_unit = spec.gamma * p / _VAR_FACTOR[spec.kind]   # Gamma * variance
+    D = int(np.sum(~_repeated_mask(p, N)))
+    var_unit = spec.gamma * p / _C[spec.kind]   # Gamma * variance
     mean_sq = spec.beta**2 * float(np.sum(
         np.where(paired_mask(p, N), 1.0 / np.where(gam > 0, gam, 1.0), 0.0)))
-    if spec.kind == "GOTE":
-        return var_unit * K + mean_sq
-    if spec.kind == "GUTE":
-        # paired and repeated-unpaired classes are real, the rest complex
-        return var_unit * (K + D) + mean_sq
-    n_sym = n_anti = 0
-    for eps in product(range(4), repeat=p // 2):
-        if component_is_symmetric(eps):
-            n_sym += 1
-        else:
-            n_anti += 1
-    scale = 2.0 ** (p // 2)
-    return scale * (var_unit * (n_sym * K + n_anti * D) + mean_sq)
+    # antisymmetric components live only on the all-distinct classes
+    n_sym = sum(info.components(p).values())
+    n_anti = len(info.components(p)) - n_sym
+    return info.norm_sq(p) * (var_unit * (n_sym * K + n_anti * D) + mean_sq)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import CanonicalTensor, canonicalize, densify
+from .tensor import CanonicalTensor, canonicalize, densify, _class_info
 
 __all__ = [
     "FLAVORS",
@@ -46,16 +46,10 @@ ORTHOGONAL_TOL = 1e-12
 UNITARY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 
-_CLASS_FLAVOR = {"sym": "orthogonal", "antisym": "orthogonal",
-                 "herm": "unitary", "selfdual": "symplectic"}
-
 
 def flavor_for_class(class_tag: str) -> str:
     """Group flavor acting on a tensor class."""
-    try:
-        return _CLASS_FLAVOR[class_tag]
-    except KeyError:
-        raise ValueError(f"no group action is defined for class {class_tag!r}")
+    return _class_info(class_tag).group
 
 
 @lru_cache(maxsize=None)

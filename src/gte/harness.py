@@ -31,22 +31,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .ensembles import EnsembleSpec, sample
+from .ensembles import EnsembleSpec, sample, _C
 from .groups import act_dense, flavor_for_class, givens_rotation, haar_sample, theta_derivative
 from .invariants import TraceGraph, evaluate, melon_graph
 from .tensor import (
     CanonicalTensor,
     canonicalize,
     class_count,
-    component_is_symmetric,
     densify,
     flatten_isometry,
     identity_tensor,
-    lead_component_key,
     multiplicities,
     shifted_by_identity,
     unflatten_isometry,
-    _component_keys,
+    _class_info,
     _repeated_mask,
 )
 
@@ -191,9 +189,7 @@ def invariance_test(sampler, flavor: str | None = None,
         if flavor is None:
             flavor = flavor_for_class(t.class_tag)
         if invariant_graphs is None:
-            convention = {"sym": "real", "antisym": "real",
-                          "herm": "hermitian", "selfdual": "selfdual"}[t.class_tag]
-            invariant_graphs = (melon_graph(t.p, convention),)
+            invariant_graphs = (melon_graph(t.p, _class_info(t.class_tag).melon),)
         if inv0 is None:
             inv0 = [[] for _ in invariant_graphs]
             inv1 = [[] for _ in invariant_graphs]
@@ -243,28 +239,22 @@ def _entry_moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     """Theoretical per-canonical-entry (mean, variance), components stacked
     in storage order."""
     p, N = spec.p, spec.N
+    info = _class_info(spec.class_tag)
     gam = multiplicities(p, N)
     ident = identity_tensor(p, N).values
-    base_var = spec.gamma * p / gam
+    var = spec.gamma * p / gam / _C[spec.kind]
     distinct = (~_repeated_mask(p, N)).astype(float)
-    lead = lead_component_key(spec.class_tag, p)
+    lead = info.lead(p)
     means, variances = [], []
-    for key in _component_keys(spec.class_tag, p):
+    for key, symmetric in info.components(p).items():
         means.append(spec.beta * ident if key == lead else np.zeros_like(ident))
-        if spec.kind == "GOTE":
-            variances.append(base_var)
-        elif spec.kind == "GUTE":
-            v = base_var / 2.0
-            variances.append(v if key == (0,) else v * distinct)
-        else:
-            v = base_var / 4.0
-            variances.append(v if component_is_symmetric(key) else v * distinct)
+        variances.append(var if symmetric else var * distinct)
     return np.concatenate(means), np.concatenate(variances)
 
 
 def _stack_entries(t: CanonicalTensor) -> np.ndarray:
     return np.concatenate([t.component(key)
-                           for key in _component_keys(t.class_tag, t.p)])
+                           for key in _class_info(t.class_tag).keys(t.p)])
 
 
 def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,

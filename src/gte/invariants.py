@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .tensor import CanonicalTensor, densify, paired_half_multiplicities
+from .tensor import CanonicalTensor, densify, paired_half_multiplicities, _class_info
 
 __all__ = [
     "TraceGraph",
@@ -41,9 +41,6 @@ __all__ = [
 
 Slot = tuple[int, int]
 Edge = tuple[Slot, Slot]
-
-#: tensor classes each graph flavor may be evaluated on
-_FLAVOR_CLASSES = {"real": ("sym", "antisym"), "parity": ("herm", "selfdual")}
 
 
 @dataclass(frozen=True)
@@ -260,10 +257,10 @@ def _check_compatible(g: TraceGraph, t) -> np.ndarray:
     if bad:
         raise ValueError("invalid graph: " + "; ".join(bad))
     if isinstance(t, CanonicalTensor):
-        if t.class_tag not in _FLAVOR_CLASSES[g.flavor]:
-            raise ValueError(
-                f"{g.flavor} graphs evaluate on classes {_FLAVOR_CLASSES[g.flavor]}, "
-                f"got {t.class_tag!r}")
+        graph = _class_info(t.class_tag).graph
+        if graph != g.flavor:
+            raise ValueError(f"class {t.class_tag!r} evaluates on {graph} graphs, "
+                             f"got a {g.flavor} graph")
         if t.p != g.p:
             raise ValueError(f"graph order {g.p} != tensor order {t.p}")
         return densify(t)
@@ -413,8 +410,8 @@ def evaluate(g: TraceGraph, t):
 def direct_sum(g: TraceGraph, t):
     """Brute-force evaluation: explicit sum over all edge-index assignments.
 
-    Exponential in the number of edges; the oracle the planner is tested
-    against, and the fallback for graphs a plan cannot cover.
+    Exponential in the number of edges.  :func:`evaluate` never falls back
+    to it; it is the oracle the contraction planner is tested against.
     """
     dense = _check_compatible(g, t)
     labels = _slot_labels(g)
@@ -443,15 +440,9 @@ def paired_trace(t: CanonicalTensor) -> float:
     antisymmetric ones vanish on paired indices; for self-dual tensors the
     2x2 units trace to 2*delta_{e0}, giving a 2^{p/2} factor on Q^(0)).
     """
-    if t.p % 2:
+    info = _class_info(t.class_tag)
+    lead = info.lead(t.p)
+    if t.p % 2 or lead is None:
         return 0.0
-    gam_half = paired_half_multiplicities(t.p, t.N)
-    if t.class_tag == "antisym":
-        return 0.0
-    if t.class_tag == "sym":
-        vals = t.data[()]
-    elif t.class_tag == "herm":
-        vals = t.data[(0,)]
-    else:
-        vals = t.data[(0,) * (t.p // 2)] * 2.0 ** (t.p // 2)
-    return float(np.sum(gam_half * vals))
+    vals = t.component(lead) * info.norm_sq(t.p)
+    return float(np.sum(paired_half_multiplicities(t.p, t.N) * vals))

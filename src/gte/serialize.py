@@ -3,14 +3,19 @@
 File formats use 1-based tensor indices (as in standard index notation);
 the in-memory types are 0-based.  This module is the only place where the
 shift happens.  All writers are deterministic: fixed key order, canonical
-entry order, shortest-round-trip floats, one JSON object per line.
+entry order, shortest-round-trip floats, one JSON object per line.  A tensor
+file is NDJSON: :func:`load_tensors` reads every line of it, and
+:func:`load_tensor` reads a file that holds exactly one tensor.
 
 Formats
 -------
 tensor   {"class": ..., "p": ..., "N": ..., "entries": [
              {"idx": [i1..ip], "re": x, "im": y, "eps": [e1..e_{p/2}]}, ...]}
-         "im" is omitted when zero, "eps" appears for self-dual components
-         only; zero entries are omitted and absent classes read back as 0.
+         A class whose components are the real and imaginary parts of one
+         value (sym, antisym, herm) writes one entry per class, "im" omitted
+         when zero; a self-dual tensor writes one entry per component and
+         class, labeled by "eps".  Zero entries are omitted and absent
+         classes read back as 0.
 matrix   {"flavor": ..., "N": ..., "rows": [[[re, im], ...], ...]}
 graph    {"p": ..., "n": ..., "flavor": ..., "edges": [[[v, k], [w, l]], ...]}
          with vertices 0-based and positions 1-based, as in TraceGraph.
@@ -24,7 +29,7 @@ import numpy as np
 
 from .groups import FLAVORS, GroupElement
 from .invariants import TraceGraph
-from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices
+from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices, _class_info
 
 __all__ = [
     "dumps_graph",
@@ -35,6 +40,7 @@ __all__ = [
     "load_graph",
     "load_matrix",
     "load_tensor",
+    "load_tensors",
     "loads_graph",
     "loads_matrix",
     "loads_tensor",
@@ -53,29 +59,26 @@ def _dumps(obj) -> str:
 
 
 def tensor_to_dict(t: CanonicalTensor) -> dict:
+    info = _class_info(t.class_tag)
+    keys = info.keys(t.p)
     entries = []
     classes = canonical_indices(t.p, t.N)
-    if t.class_tag in ("sym", "antisym"):
-        vals = t.data[()]
-        for m, x in zip(classes, vals):
-            if x != 0.0:
-                entries.append({"idx": [i + 1 for i in m], "re": float(x)})
-    elif t.class_tag == "herm":
-        re, im = t.data[(0,)], t.data[(1,)]
-        for j, m in enumerate(classes):
-            if re[j] == 0.0 and im[j] == 0.0:
+    if info.dim_factor == 1:
+        # scalar units: the components are the real and imaginary parts
+        re = t.component(keys[0]).tolist()
+        im = t.component(keys[1]).tolist() if len(keys) > 1 else [0.0] * len(re)
+        for m, x, y in zip(classes, re, im):
+            if x == 0.0 and y == 0.0:
                 continue
-            e = {"idx": [i + 1 for i in m], "re": float(re[j])}
-            if im[j] != 0.0:
-                e["im"] = float(im[j])
+            e = {"idx": [i + 1 for i in m], "re": x}
+            if y != 0.0:
+                e["im"] = y
             entries.append(e)
     else:
         for eps in sorted(t.data):
-            vals = t.data[eps]
-            for m, x in zip(classes, vals):
+            for m, x in zip(classes, t.data[eps].tolist()):
                 if x != 0.0:
-                    entries.append({"idx": [i + 1 for i in m],
-                                    "re": float(x), "eps": list(eps)})
+                    entries.append({"idx": [i + 1 for i in m], "re": x, "eps": list(eps)})
     return {"class": t.class_tag, "p": t.p, "N": t.N, "entries": entries}
 
 
@@ -89,16 +92,12 @@ def tensor_from_dict(d: dict) -> CanonicalTensor:
         raise ValueError(f"unknown tensor class {tag!r}")
     if not (isinstance(p, int) and isinstance(N, int) and p >= 1 and N >= 1):
         raise ValueError(f"p and N must be positive integers, got p={p!r} N={N!r}")
+    info = _class_info(tag)
+    keys = info.keys(p)
     classes = canonical_indices(p, N)
     pos = {m: j for j, m in enumerate(classes)}
     K = len(classes)
-
-    if tag == "selfdual":
-        data = {}
-    elif tag == "herm":
-        data = {(0,): np.zeros(K), (1,): np.zeros(K)}
-    else:
-        data = {(): np.zeros(K)}
+    data = {} if info.sparse else {key: np.zeros(K) for key in keys}
 
     for e in raw_entries:
         idx = tuple(i - 1 for i in e["idx"])
@@ -109,22 +108,22 @@ def tensor_from_dict(d: dict) -> CanonicalTensor:
         j = pos[idx]
         re = float(e.get("re", 0.0))
         im = float(e.get("im", 0.0))
-        if tag == "selfdual":
-            if im != 0.0:
-                raise ValueError("self-dual components are real; drop the 'im' field")
-            eps = tuple(e.get("eps", ()))
-            if len(eps) != p // 2 or not all(v in (0, 1, 2, 3) for v in eps):
-                raise ValueError(f"eps must be a length-{p // 2} tuple over 0..3, got {eps}")
-            data.setdefault(eps, np.zeros(K))[j] = re
-        elif tag == "herm":
-            data[(0,)][j] = re
-            data[(1,)][j] = im
-        else:
-            if im != 0.0:
+        if info.dim_factor == 1:
+            if len(keys) == 1 and im != 0.0:
                 raise ValueError(f"{tag} tensors are real; drop the 'im' field")
-            data[()][j] = re
-    if tag == "selfdual" and not data:
-        data[(0,) * (p // 2)] = np.zeros(K)
+            data[keys[0]][j] = re
+            if len(keys) > 1:
+                data[keys[1]][j] = im
+            continue
+        if im != 0.0:
+            raise ValueError("self-dual components are real; drop the 'im' field")
+        eps = tuple(e.get("eps", ()))
+        if eps not in keys:
+            raise ValueError(f"eps must be a length-{len(keys[0])} tuple over "
+                             f"0..{len(info.units) - 1}, got {eps}")
+        data.setdefault(eps, np.zeros(K))[j] = re
+    if not data:
+        data[keys[0]] = np.zeros(K)
     return CanonicalTensor(tag, p, N, data)
 
 
@@ -197,9 +196,18 @@ def save_tensor(t: CanonicalTensor, path) -> None:
         fh.write(dumps_tensor(t) + "\n")
 
 
+def load_tensors(path) -> list[CanonicalTensor]:
+    """Every tensor of an NDJSON file, one per nonblank line, in order."""
+    with open(path, encoding="utf-8") as fh:
+        return [loads_tensor(ln) for ln in fh.read().splitlines() if ln.strip()]
+
+
 def load_tensor(path) -> CanonicalTensor:
-    with open(path) as fh:
-        return loads_tensor(fh.read())
+    """The tensor of a file that holds exactly one."""
+    tensors = load_tensors(path)
+    if len(tensors) != 1:
+        raise ValueError(f"{path} holds {len(tensors)} tensors, expected exactly one")
+    return tensors[0]
 
 
 def save_matrix(g: GroupElement, path) -> None:

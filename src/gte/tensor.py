@@ -24,6 +24,9 @@ there are ``binom(N + p - 1, p)``.  The supported classes are
     antisymmetric otherwise.  ``p % 4 == 2`` is required and the dense form
     lives in dimension ``2N``.
 
+Each class is described once, by a :class:`_TensorClass` record in
+``_CLASSES``; every class-dependent rule in the package reads that record.
+
 Indices are 0-based throughout this module.  The 1-based convention of the
 file formats is applied by the serializer and nowhere else.
 """
@@ -36,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -65,8 +68,6 @@ __all__ = [
     "unflatten_isometry",
     "zeros",
 ]
-
-CLASS_TAGS = ("sym", "antisym", "herm", "selfdual")
 
 #: Quaternion basis in its 2x2 complex representation.  Index 0 is the
 #: identity; 1, 2, 3 square to minus the identity and anticommute.
@@ -230,15 +231,102 @@ def component_is_symmetric(eps: tuple[int, ...]) -> bool:
     return sum(1 for k in eps if k != 0) % 2 == 0
 
 
+@dataclass(frozen=True, eq=False)
+class _TensorClass:
+    """Everything that tells one tensor class from the others.
+
+    A component key is a tuple of ``slots(p)`` labels, each naming one of
+    the ``units``.  The dense form, in dimension ``dim_factor * N``, is the
+    sum over components of the signed payload times the Kronecker product
+    of the units its key names; a real class (``units`` None) has the one
+    key ``()`` and no unit factor.  A component is symmetric when its key
+    has an even number of nonzero labels, the other way round for a class
+    whose payload is ``antisymmetric``.
+    """
+
+    tag: str
+    units: np.ndarray | None
+    dim_factor: int
+    slots: Callable[[int], int]
+    antisymmetric: bool
+    order: tuple[int, int]      # (m, r): the order p must satisfy p % m == r
+    group: str                  # flavor of the acting group
+    graph: str                  # flavor of the trace graphs it evaluates on
+    melon: str                  # matching convention of its melon graph
+    ensemble: str | None        # Gaussian ensemble drawing this class
+    sparse: bool                # absent components read as zero
+
+    @lru_cache(maxsize=None)
+    def components(self, p: int) -> Mapping[tuple[int, ...], bool]:
+        """Component keys at order p in storage order, each mapped to
+        whether its component is symmetric."""
+        n = 1 if self.units is None else len(self.units)
+        keys = itertools.product(range(n), repeat=self.slots(p))
+        return MappingProxyType(
+            {k: component_is_symmetric(k) != self.antisymmetric for k in keys})
+
+    @lru_cache(maxsize=None)
+    def keys(self, p: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.components(p))
+
+    def lead(self, p: int) -> tuple[int, ...] | None:
+        """Key of the component that carries the identity direction."""
+        return None if self.antisymmetric else self.keys(p)[0]
+
+    @lru_cache(maxsize=None)
+    def dense_units(self, p: int) -> np.ndarray:
+        """Row c is the flattened Kronecker product of the units of key c."""
+        rows = []
+        for key in self.keys(p):
+            u = np.ones((), dtype=complex)
+            for k in key:
+                u = np.multiply.outer(u, self.units[k])
+            rows.append(u.reshape(-1))
+        out = np.array(rows)
+        out.setflags(write=False)
+        return out
+
+    def norm_sq(self, p: int) -> float:
+        """Squared Hilbert-Schmidt norm of every dense unit product."""
+        return float(self.dim_factor) ** self.slots(p)
+
+    def check_order(self, p: int, what: str) -> None:
+        m, r = self.order
+        if p % m != r:
+            raise ValueError(f"{what} need p = {r} mod {m}, got p = {p}")
+
+
+_CLASSES = {c.tag: c for c in (
+    _TensorClass("sym", units=None, dim_factor=1, slots=lambda p: 0,
+                 antisymmetric=False, order=(1, 0), group="orthogonal",
+                 graph="real", melon="real", ensemble="GOTE", sparse=False),
+    _TensorClass("antisym", units=None, dim_factor=1, slots=lambda p: 0,
+                 antisymmetric=True, order=(1, 0), group="orthogonal",
+                 graph="real", melon="real", ensemble=None, sparse=False),
+    _TensorClass("herm", units=np.array([1.0, 1.0j]), dim_factor=1,
+                 slots=lambda p: 1, antisymmetric=False, order=(2, 0),
+                 group="unitary", graph="parity", melon="hermitian",
+                 ensemble="GUTE", sparse=False),
+    _TensorClass("selfdual", units=QUATERNION_UNITS, dim_factor=2,
+                 slots=lambda p: p // 2, antisymmetric=False, order=(4, 2),
+                 group="symplectic", graph="parity", melon="selfdual",
+                 ensemble="GSTE", sparse=True),
+)}
+
+CLASS_TAGS = tuple(_CLASSES)
+
+
+def _class_info(class_tag: str) -> _TensorClass:
+    try:
+        return _CLASSES[class_tag]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown class tag {class_tag!r}") from None
+
+
 def lead_component_key(class_tag: str, p: int) -> tuple[int, ...]:
-    """Key of the component that carries the identity direction."""
-    if class_tag in ("sym", "antisym"):
-        return ()
-    if class_tag == "herm":
-        return (0,)
-    if class_tag == "selfdual":
-        return (0,) * (p // 2)
-    raise ValueError(f"unknown class tag {class_tag!r}")
+    """Key of the leading component: the one that carries the identity
+    direction, and the only component of a real class."""
+    return _class_info(class_tag).keys(p)[0]
 
 
 @dataclass(frozen=True)
@@ -272,24 +360,6 @@ class MultiIndex:
         return is_paired(self.indices)
 
 
-def _component_keys(class_tag: str, p: int) -> tuple[tuple[int, ...], ...]:
-    if class_tag in ("sym", "antisym"):
-        return ((),)
-    if class_tag == "herm":
-        return ((0,), (1,))
-    return tuple(itertools.product(range(4), repeat=p // 2))
-
-
-def _key_is_symmetric(class_tag: str, key: tuple[int, ...]) -> bool:
-    if class_tag == "sym":
-        return True
-    if class_tag == "antisym":
-        return False
-    if class_tag == "herm":
-        return key == (0,)
-    return component_is_symmetric(key)
-
-
 @dataclass(frozen=True)
 class CanonicalTensor:
     """Immutable tensor in canonical-class storage.
@@ -307,25 +377,21 @@ class CanonicalTensor:
     data: Mapping[tuple[int, ...], np.ndarray]
 
     def __post_init__(self):
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class tag {self.class_tag!r}")
+        info = _class_info(self.class_tag)
         if self.p < 1 or self.N < 1:
             raise ValueError("p and N must be at least 1")
-        if self.class_tag == "herm" and self.p % 2:
-            raise ValueError("hermitian tensors require even order")
-        if self.class_tag == "selfdual" and self.p % 4 != 2:
-            raise ValueError("self-dual tensors require order 2 mod 4")
+        info.check_order(self.p, f"{self.class_tag} tensors")
         K = class_count(self.p, self.N)
-        allowed = set(_component_keys(self.class_tag, self.p))
+        symmetric = info.components(self.p)
         clean: dict[tuple[int, ...], np.ndarray] = {}
         for key, vals in dict(self.data).items():
             key = tuple(int(k) for k in key)
-            if key not in allowed:
+            if key not in symmetric:
                 raise ValueError(f"component {key!r} invalid for {self.class_tag}")
             arr = np.asarray(vals, dtype=float).copy()
             if arr.shape != (K,):
                 raise ValueError(f"component {key!r} must have shape ({K},)")
-            if not _key_is_symmetric(self.class_tag, key):
+            if not symmetric[key]:
                 bad = _repeated_mask(self.p, self.N) & (arr != 0.0)
                 if bad.any():
                     m = canonical_indices(self.p, self.N)[int(np.argmax(bad))]
@@ -335,10 +401,8 @@ class CanonicalTensor:
                     )
             arr.setflags(write=False)
             clean[key] = arr
-        if self.class_tag in ("sym", "antisym") and () not in clean:
-            clean[()] = _zero_vector(K)
-        if self.class_tag == "herm":
-            for key in ((0,), (1,)):
+        if not info.sparse:
+            for key in symmetric:
                 clean.setdefault(key, _zero_vector(K))
         object.__setattr__(self, "data", MappingProxyType(clean))
 
@@ -351,7 +415,7 @@ class CanonicalTensor:
     def component(self, key: tuple[int, ...]) -> np.ndarray:
         """Component vector for ``key``; zeros when the component is absent."""
         key = tuple(int(k) for k in key)
-        if key not in set(_component_keys(self.class_tag, self.p)):
+        if key not in _class_info(self.class_tag).components(self.p):
             raise KeyError(f"component {key!r} invalid for {self.class_tag}")
         got = self.data.get(key)
         return got if got is not None else _zero_vector(self.K)
@@ -359,30 +423,27 @@ class CanonicalTensor:
     @property
     def values(self) -> np.ndarray:
         """Payload of a single-component (sym or antisym) tensor."""
-        if self.class_tag not in ("sym", "antisym"):
+        if _class_info(self.class_tag).units is not None:
             raise AttributeError("values is defined for sym and antisym only")
         return self.data[()]
 
     def entry(self, indices: Iterable[int]):
         """Dense entry at an index tuple (length p; 2N-dimensional for
         self-dual tensors, N-dimensional otherwise)."""
+        info = _class_info(self.class_tag)
+        f = info.dim_factor
         tup = tuple(int(i) for i in indices)
-        dim = 2 * self.N if self.class_tag == "selfdual" else self.N
         if len(tup) != self.p:
             raise ValueError(f"expected {self.p} indices, got {len(tup)}")
-        MultiIndex(tup, dim)  # bounds check
-        if self.class_tag == "selfdual":
-            flat = int(np.ravel_multi_index(tup, (dim,) * self.p))
-            return complex(densify(self).reshape(-1)[flat])
-        srt, sign = sort_with_sign(tup)
+        MultiIndex(tup, f * self.N)  # bounds check
+        srt, sign = sort_with_sign(i // f for i in tup)
         pos = _class_positions(self.p, self.N)[srt]
-        if self.class_tag == "sym":
-            return float(self.data[()][pos])
-        if self.class_tag == "antisym":
-            return float(sign * self.data[()][pos])
-        re = self.data[(0,)][pos]
-        im = sign * self.data[(1,)][pos]
-        return complex(re, im)
+        coeffs = [self.component(key)[pos] * (1 if sym else sign)
+                  for key, sym in info.components(self.p).items()]
+        if info.units is None:
+            return float(coeffs[0])
+        iota = int(np.ravel_multi_index(tuple(i % f for i in tup), (f,) * self.p))
+        return complex(np.dot(coeffs, info.dense_units(self.p)[:, iota]))
 
     def map_components(self, fn) -> "CanonicalTensor":
         return CanonicalTensor(
@@ -444,36 +505,16 @@ def shifted_by_identity(t: CanonicalTensor, coeff: float) -> CanonicalTensor:
     coeff = float(coeff)
     if coeff == 0.0:
         return t
-    if t.class_tag == "antisym":
+    key = _class_info(t.class_tag).lead(t.p)
+    if key is None:
         raise ValueError("antisymmetric tensors admit no identity shift")
     ident = identity_tensor(t.p, t.N).values
-    key = lead_component_key(t.class_tag, t.p)
     shifted = dict(t.data)
     shifted[key] = t.component(key) + coeff * ident
     return CanonicalTensor(t.class_tag, t.p, t.N, shifted)
 
 
 # -- dense conversion ----------------------------------------------------
-
-
-def _dense_real(p: int, N: int, vals: np.ndarray, symmetric: bool) -> np.ndarray:
-    cls, sgn, _ = _dense_tables(p, N)
-    flat = vals[cls] if symmetric else vals[cls] * sgn
-    return flat.reshape((N,) * p)
-
-
-def _interleaved_subscripts(p: int) -> tuple[list[int], list[int]]:
-    """Einsum axis labels used to weave component and quaternion axes.
-
-    Component axes are labeled ``0..p-1`` and the quaternion axis of leg t
-    is ``p + t``; slot s couples legs 2s and 2s + 1.  The interleaved output
-    order is (i_0, iota_0, i_1, iota_1, ...).
-    """
-    component_axes = list(range(p))
-    interleaved = []
-    for t in range(p):
-        interleaved += [t, p + t]
-    return component_axes, interleaved
 
 
 def densify(t: CanonicalTensor) -> np.ndarray:
@@ -483,24 +524,24 @@ def densify(t: CanonicalTensor) -> np.ndarray:
     ``2 * i + iota`` with ``i`` the component index and ``iota`` the row or
     column of the quaternion factor.
     """
-    if t.class_tag == "sym":
-        return _dense_real(t.p, t.N, t.data[()], True)
-    if t.class_tag == "antisym":
-        return _dense_real(t.p, t.N, t.data[()], False)
-    if t.class_tag == "herm":
-        return _dense_real(t.p, t.N, t.data[(0,)], True) + 1j * _dense_real(
-            t.p, t.N, t.data[(1,)], False
-        )
+    info = _class_info(t.class_tag)
     p, N = t.p, t.N
-    component_axes, interleaved = _interleaved_subscripts(p)
-    out = np.zeros((N, 2) * p, dtype=complex)
-    for eps, vals in t.data.items():
-        comp = _dense_real(p, N, vals, component_is_symmetric(eps)).astype(complex)
-        operands: list = [comp, component_axes]
-        for s, k in enumerate(eps):
-            operands += [QUATERNION_UNITS[k], [p + 2 * s, p + 2 * s + 1]]
-        out += np.einsum(*operands, interleaved)
-    return out.reshape((2 * N,) * p)
+    cls, sgn, _ = _dense_tables(p, N)
+    symmetric, keys = info.components(p), info.keys(p)
+    if info.units is None:
+        flat = t.data[keys[0]][cls]
+        return (flat if symmetric[keys[0]] else flat * sgn).reshape((N,) * p)
+    present = [c for c, key in enumerate(keys) if key in t.data]
+    parts = np.zeros((len(present), N**p))
+    for row, c in enumerate(present):
+        flat = t.data[keys[c]][cls]
+        parts[row] = flat if symmetric[keys[c]] else flat * sgn
+    # out[i, iota]: i runs over component positions, iota over unit
+    # positions; interleave them so that leg t indexes as f * i_t + iota_t
+    f = info.dim_factor
+    out = parts.T @ info.dense_units(p)[present]
+    legs = [axis for leg in range(p) for axis in (leg, p + leg)]
+    return out.reshape((N,) * p + (f,) * p).transpose(legs).reshape((f * N,) * p)
 
 
 def frobenius_norm_sq(t) -> float:
@@ -513,7 +554,7 @@ def frobenius_norm_sq(t) -> float:
     if isinstance(t, np.ndarray):
         return float(np.sum(np.abs(t) ** 2))
     gam = multiplicities(t.p, t.N)
-    scale = 2.0 ** (t.p // 2) if t.class_tag == "selfdual" else 1.0
+    scale = _class_info(t.class_tag).norm_sq(t.p)
     return float(scale * sum(np.sum(gam * vals**2) for vals in t.data.values()))
 
 
@@ -555,126 +596,74 @@ def canonicalize(
     offending index pair is raised otherwise.  With ``project`` the class
     part is taken by averaging and no check is performed.
     """
+    info = _class_info(class_tag)
     dense = np.asarray(dense)
     if dense.ndim < 1:
         raise ValueError("expected at least one axis")
     D = dense.shape[0]
     if dense.shape != (D,) * dense.ndim:
         raise ValueError("expected equal axis lengths")
-    p = dense.ndim
-    if class_tag in ("sym", "antisym"):
-        values = _extract_real(dense, class_tag, p, D, project, atol, "")
-        return CanonicalTensor(class_tag, p, D, {(): values})
-    if class_tag == "herm":
-        dense = dense.astype(complex)
-        re = _extract_real(dense.real, "sym", p, D, project, atol, "real part: ")
-        im = _extract_real(
-            dense.imag, "antisym", p, D, project, atol, "imaginary part: "
-        )
-        return CanonicalTensor("herm", p, D, {(0,): re, (1,): im})
-    if class_tag != "selfdual":
-        raise ValueError(f"unknown class tag {class_tag!r}")
-    if D % 2:
-        raise ValueError("self-dual dense arrays need even dimension")
-    return _canonicalize_selfdual(dense.astype(complex), p, D // 2, project, atol)
-
-
-def _extract_real(
-    dense: np.ndarray,
-    class_tag: str,
-    p: int,
-    N: int,
-    project: bool,
-    atol: float,
-    label: str,
-) -> np.ndarray:
-    if np.iscomplexobj(dense):
-        raise ValueError("real classes expect real dense arrays")
-    flat = np.asarray(dense, dtype=float).reshape(-1)
-    cls, sgn, rep = _dense_tables(p, N)
-    gam = multiplicities(p, N)
-    if project:
-        weights = flat if class_tag == "sym" else flat * sgn
-        values = np.bincount(cls, weights=weights, minlength=len(gam)) / gam
-        if class_tag == "antisym":
-            values = np.where(_repeated_mask(p, N), 0.0, values)
-        return values
-    values = flat[rep]
-    if class_tag == "antisym":
-        values = np.where(_repeated_mask(p, N), 0.0, values)
-        recon = values[cls] * sgn
+    p, f = dense.ndim, info.dim_factor
+    if D % f:
+        raise ValueError(f"{class_tag} dense arrays need a dimension divisible by {f}")
+    N = D // f
+    if info.units is None:
+        if np.iscomplexobj(dense):
+            raise ValueError("real classes expect real dense arrays")
+        dense = np.asarray(dense, dtype=float)
+        parts = dense.reshape(1, -1)
     else:
-        recon = values[cls]
-    diff = np.abs(flat - recon)
-    worst = int(np.argmax(diff))
-    if diff[worst] > atol:
-        bad = tuple(int(i) for i in np.unravel_index(worst, (N,) * p))
-        partner = tuple(sorted(bad))
-        raise ClassViolationError(
-            f"{label}entry at {tuple(i + 1 for i in bad)} deviates from the "
-            f"value implied by {tuple(i + 1 for i in partner)} "
-            f"by {diff[worst]:.3e} (indices 1-based)",
-            (bad, partner),
-        )
-    return values
-
-
-def _extract_selfdual_components(
-    dense: np.ndarray, p: int, N: int
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Complex quaternion components of a dense 2N-dimensional array.
-
-    Uses the trace orthogonality of the quaternion basis: each basis matrix
-    has squared Hilbert-Schmidt norm 2, so every slot contributes a factor
-    of 1/2 after pairing with the conjugated basis.
-    """
-    half = p // 2
-    interleaved = dense.reshape((N, 2) * p)
-    component_axes, inter_axes = _interleaved_subscripts(p)
-    comps = {}
-    for eps in itertools.product(range(4), repeat=half):
-        operands: list = [interleaved, inter_axes]
-        for s, k in enumerate(eps):
-            operands += [np.conj(QUATERNION_UNITS[k]), [p + 2 * s, p + 2 * s + 1]]
-        comps[eps] = np.einsum(*operands, component_axes) / 2.0**half
-    return comps
-
-
-def _canonicalize_selfdual(
-    dense: np.ndarray, p: int, N: int, project: bool, atol: float
-) -> CanonicalTensor:
+        # Each unit product has squared norm norm_sq(p) and they are
+        # orthogonal, so pairing with the conjugate units extracts the
+        # components.
+        dense = dense.astype(complex)
+        legs = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
+        split = dense.reshape((N, f) * p).transpose(legs).reshape(N**p, f**p)
+        parts = (split @ info.dense_units(p).conj().T / info.norm_sq(p)).T.real
     cls, sgn, rep = _dense_tables(p, N)
     gam = multiplicities(p, N)
-    repeated = _repeated_mask(p, N)
-    raw = _extract_selfdual_components(dense, p, N)
     data = {}
-    for eps, comp in raw.items():
-        flat = comp.reshape(-1)
-        symmetric = component_is_symmetric(eps)
+    for (key, symmetric), part in zip(info.components(p).items(), parts):
         if project:
-            weights = flat.real if symmetric else flat.real * sgn
+            weights = part if symmetric else part * sgn
             vals = np.bincount(cls, weights=weights, minlength=len(gam)) / gam
-            if not symmetric:
-                vals = np.where(repeated, 0.0, vals)
         else:
-            vals = flat[rep].real
-            if not symmetric:
-                vals = np.where(repeated, 0.0, vals)
-        if np.any(vals != 0.0):
-            data[eps] = vals
-    out = CanonicalTensor("selfdual", p, N, data)
+            vals = part[rep]
+        if not symmetric:
+            vals = np.where(_repeated_mask(p, N), 0.0, vals)
+        if not info.sparse or np.any(vals != 0.0):
+            data[key] = vals
+    out = CanonicalTensor(class_tag, p, N, data)
     if not project:
-        recon = densify(out)
-        diff = np.abs(dense - recon.reshape(dense.shape))
-        worst = int(np.argmax(diff))
-        if diff.reshape(-1)[worst] > atol:
-            bad = tuple(int(i) for i in np.unravel_index(worst, dense.shape))
-            half_sorted = tuple(sorted(i // 2 for i in bad))
-            raise ClassViolationError(
-                f"entry at {tuple(i + 1 for i in bad)} is incompatible with "
-                "the quaternion component structure implied by the class "
-                f"{tuple(i + 1 for i in half_sorted)} (indices 1-based, "
-                f"deviation {diff.reshape(-1)[worst]:.3e})",
-                (bad, half_sorted),
-            )
+        _check_class(dense, densify(out), f, atol)
     return out
+
+
+def _check_class(dense: np.ndarray, recon: np.ndarray, f: int, atol: float) -> None:
+    """Raise at the worst entry where ``dense`` leaves its class part.
+
+    The real and imaginary planes of a complex array in the component
+    dimension (f = 1) are checked one after the other; a self-dual array
+    (f = 2) is checked as a whole.
+    """
+    diff = dense - recon.reshape(dense.shape)
+    if f == 1 and np.iscomplexobj(diff):
+        planes = (("real part: ", diff.real), ("imaginary part: ", diff.imag))
+    else:
+        planes = (("", diff),)
+    for label, plane in planes:
+        dev = np.abs(plane).reshape(-1)
+        worst = int(np.argmax(dev))
+        if not dev[worst] > atol:
+            continue
+        bad = tuple(int(i) for i in np.unravel_index(worst, dense.shape))
+        partner = tuple(sorted(i // f for i in bad))
+        at, of = tuple(i + 1 for i in bad), tuple(i + 1 for i in partner)
+        if f == 1:
+            message = (f"{label}entry at {at} deviates from the value implied by "
+                       f"{of} by {dev[worst]:.3e} (indices 1-based)")
+        else:
+            message = (f"entry at {at} is incompatible with the quaternion "
+                       f"component structure implied by the class {of} "
+                       f"(indices 1-based, deviation {dev[worst]:.3e})")
+        raise ClassViolationError(message, (bad, partner))

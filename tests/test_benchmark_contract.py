@@ -1,0 +1,34 @@
+"""The benchmark's tracer reaches into the library by name.
+
+``perfbench/layers.py`` lists the functions it wraps (``TARGETS``) and
+``perfbench/spans.py`` the lru-cached functions whose hit counts it reads
+(``CACHES``).  A rename or an un-cached rewrite would only show when the
+traced benchmark runs; these tests show it in the ordinary suite.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from layers import TARGETS  # noqa: E402
+from spans import CACHES  # noqa: E402
+
+LIBRARY_TARGETS = sorted({(mod, attr) for mod, attr, *_ in TARGETS
+                          if mod == "gte" or mod.startswith("gte.")})
+
+
+@pytest.mark.parametrize("module,attr", LIBRARY_TARGETS,
+                         ids=[f"{m}.{a}" for m, a in LIBRARY_TARGETS])
+def test_traced_target_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("module,attr,label", CACHES, ids=[c[2] for c in CACHES])
+def test_cached_target_exposes_cache_info(module, attr, label):
+    fn = getattr(importlib.import_module(module), attr)
+    info = fn.cache_info()
+    assert info.hits >= 0 and info.misses >= 0

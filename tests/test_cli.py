@@ -217,14 +217,6 @@ def test_missing_required_argument_exits_2():
     assert exc.value.code == 2
 
 
-def test_threads_must_be_nonnegative(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["identity", "--p", "2", "--dim", "2", "--threads", "-1"])
-    assert exc.value.code == 2
-    assert run(["identity", "--p", "2", "--dim", "2", "--threads", "2"]) == 0
-    capsys.readouterr()
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

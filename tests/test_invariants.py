@@ -26,7 +26,7 @@ def test_melon_graph_shape():
     g = melon_graph(4)
     assert g.n == 2 and g.p == 4 and g.flavor == "real"
     assert len(g.edges) == 4
-    assert g.is_connected
+    assert g.is_connected()
     assert validate(g) == []
 
 
@@ -72,7 +72,7 @@ def test_enumerate_rank2_real():
         assert crosses == want
         for g in fam:
             assert validate(g) == []
-            assert g.is_connected
+            assert g.is_connected()
 
 
 def test_enumerate_rank2_parity_even_cross_only():
@@ -157,7 +157,7 @@ def test_three_vertex_chain_example():
              ((0, 4), (2, 1)), ((1, 1), (2, 2)), ((2, 3), (2, 4)))
     g = TraceGraph(4, 3, "real", edges)
     assert validate(g) == []
-    assert g.is_connected
+    assert g.is_connected()
     rng = np.random.default_rng(4)
     t = random_tensor("sym", 4, 2, rng)
     assert evaluate(g, t) == pytest.approx(direct_sum(g, t), rel=1e-10)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
+from gte.cli import run
+from gte.ensembles import EnsembleSpec, sample_batch
 from gte.groups import haar_sample
 from gte.invariants import TraceGraph, melon_graph
 from gte.serialize import (
@@ -15,6 +17,7 @@ from gte.serialize import (
     graph_from_dict,
     graph_to_dict,
     load_tensor,
+    load_tensors,
     loads_graph,
     loads_matrix,
     loads_tensor,
@@ -83,6 +86,24 @@ def test_tensor_file_round_trip(tmp_path):
     assert text.endswith("\n") and "\n" not in text[:-1]  # single line
     back = load_tensor(path)
     assert np.array_equal(back.component((1,)), t.component((1,)))
+
+
+def test_ndjson_reader_reads_what_sample_writes(tmp_path):
+    path = tmp_path / "draws.ndjson"
+    assert run(["sample", "--kind", "gste", "--p", "2", "--dim", "2", "--seed", "3",
+                "--count", "3", "--out", str(path)]) == 0
+    got = load_tensors(path)
+    want = sample_batch(EnsembleSpec("GSTE", 2, 2, seed=3), 3)
+    assert len(got) == 3
+    for a, b in zip(got, want):
+        assert sorted(a.data) == sorted(b.data)
+        for key in b.data:
+            assert np.array_equal(a.component(key), b.component(key))
+    with pytest.raises(ValueError, match="holds 3 tensors, expected exactly one"):
+        load_tensor(path)
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="holds 0 tensors"):
+        load_tensor(path)
 
 
 def test_matrix_round_trip_all_flavors():
