@@ -83,30 +83,12 @@ def _class_of(kind: str) -> str:
     return next(tag for tag in CLASS_TAGS if _class_info(tag).ensemble == kind)
 
 
-def _sigmas(spec: EnsembleSpec) -> np.ndarray:
-    gam = multiplicities(spec.p, spec.N)
-    return np.sqrt(spec.gamma * spec.p / (_C[spec.kind] * gam))
-
-
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> CanonicalTensor:
     """One draw.  The RNG is consumed in a fixed order (one length-K normal
     vector per component, symmetric first, then by quaternion label), so a
     given generator state always produces the same tensor.
     """
-    p, N = spec.p, spec.N
-    info = _class_info(spec.class_tag)
-    sig = _sigmas(spec)
-    mean = spec.beta * identity_tensor(p, N).values
-    distinct = ~_repeated_mask(p, N)
-    lead = info.lead(p)
-    comps = {}
-    for key, symmetric in info.components(p).items():
-        draw = sig * rng.standard_normal(sig.size)
-        if symmetric:
-            comps[key] = draw + (mean if key == lead else 0.0)
-        else:
-            comps[key] = np.where(distinct, draw, 0.0)
-    return CanonicalTensor(info.tag, p, N, comps)
+    return _tensors(spec, _read_normals(spec, rng)[None])[0]
 
 
 def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
@@ -117,11 +99,39 @@ def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        out.append(sample(spec, rng))
+    if count == 0:
+        return []
+    return _tensors(spec, np.stack([
+        _read_normals(spec, np.random.default_rng(np.random.SeedSequence((spec.seed, i))))
+        for i in range(count)]))
+
+
+def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """The stream read of one draw: a (C, K) array holding one length-K
+    standard normal vector per component, in storage order."""
+    return rng.standard_normal((len(_class_info(spec.class_tag).keys(spec.p)),
+                                class_count(spec.p, spec.N)))
+
+
+def _canonical_values(spec: EnsembleSpec, normals: np.ndarray) -> np.ndarray:
+    """(B, C, K) standard normals to the canonical values of B draws: scaled
+    by the class sigmas, shifted by beta*I on the lead component, and zero
+    on the repeated-index classes of the antisymmetric components."""
+    p, N = spec.p, spec.N
+    info = _class_info(spec.class_tag)
+    out = np.sqrt(spec.gamma * p / (_C[spec.kind] * multiplicities(p, N))) * normals
+    if spec.beta and info.lead(p) is not None:
+        out[:, 0] += spec.beta * identity_tensor(p, N).values
+    anti = info.antisymmetric_rows(p)
+    if anti.any():
+        out[:, anti[:, None] & _repeated_mask(p, N)] = 0.0
     return out
+
+
+def _tensors(spec: EnsembleSpec, normals: np.ndarray) -> list[CanonicalTensor]:
+    keys = _class_info(spec.class_tag).keys(spec.p)
+    return [CanonicalTensor(spec.class_tag, spec.p, spec.N, dict(zip(keys, vals)))
+            for vals in _canonical_values(spec, normals)]
 
 
 def log_density_unnormalized(t: CanonicalTensor, spec: EnsembleSpec) -> float:

@@ -80,28 +80,9 @@ class GroupElement:
         mat = np.array(self.matrix, dtype=float if self.flavor == "orthogonal" else complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("group elements must be square matrices")
-        dim = mat.shape[0]
-        eye = np.eye(dim)
-        if self.flavor == "orthogonal":
-            err = np.max(np.abs(mat.T @ mat - eye))
-            if err > ORTHOGONAL_TOL:
-                raise ValueError(f"matrix is not orthogonal (deviation {err:.3e})")
-        elif self.flavor == "unitary":
-            err = np.max(np.abs(mat.conj().T @ mat - eye))
-            if err > UNITARY_TOL:
-                raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-        else:
-            if dim % 2:
-                raise ValueError("symplectic matrices need even size")
-            J = symplectic_form(dim // 2)
-            err = np.max(np.abs(mat.T @ J @ mat - J))
-            if err > SYMPLECTIC_TOL:
-                raise ValueError(f"matrix does not preserve the form (deviation {err:.3e})")
-            # Only the compact (unitary) part of the symplectic group keeps
-            # the sampled densities invariant, so membership is checked too.
-            uerr = np.max(np.abs(mat.conj().T @ mat - eye))
-            if uerr > SYMPLECTIC_TOL:
-                raise ValueError(f"symplectic matrix is not unitary (deviation {uerr:.3e})")
+        if self.flavor == "symplectic" and mat.shape[0] % 2:
+            raise ValueError("symplectic matrices need even size")
+        _check_members(self.flavor, mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -109,6 +90,28 @@ class GroupElement:
     def N(self) -> int:
         size = self.matrix.shape[0]
         return size // 2 if self.flavor == "symplectic" else size
+
+
+def _check_members(flavor: str, mats: np.ndarray) -> None:
+    """Raise unless every matrix of the (B, D, D) stack is in the group; the
+    deviation reported is the largest over the stack."""
+    unitarity = mats.conj().swapaxes(-1, -2) @ mats - np.eye(mats.shape[-1])
+    if flavor != "symplectic":
+        _bound(unitarity, ORTHOGONAL_TOL if flavor == "orthogonal" else UNITARY_TOL,
+               f"matrix is not {flavor}")
+        return
+    J = symplectic_form(mats.shape[-1] // 2)
+    _bound(mats.swapaxes(-1, -2) @ J @ mats - J, SYMPLECTIC_TOL,
+           "matrix does not preserve the form")
+    # Only the compact (unitary) part of the symplectic group keeps the
+    # sampled densities invariant, so membership is checked too.
+    _bound(unitarity, SYMPLECTIC_TOL, "symplectic matrix is not unitary")
+
+
+def _bound(deviation: np.ndarray, tol: float, what: str) -> None:
+    err = np.max(np.abs(deviation))
+    if err > tol:
+        raise ValueError(f"{what} (deviation {err:.3e})")
 
 
 def haar_sample(flavor: str, N: int, rng: np.random.Generator) -> GroupElement:
@@ -123,47 +126,55 @@ def haar_sample(flavor: str, N: int, rng: np.random.Generator) -> GroupElement:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if flavor == "orthogonal":
-        a = rng.standard_normal((N, N))
-        q, r = np.linalg.qr(a)
-        d = np.diag(r).copy()
-        d[d == 0] = 1.0
-        return GroupElement(flavor, q * np.sign(d))
-    if flavor == "unitary":
-        a = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        q, r = np.linalg.qr(a)
-        d = np.diag(r).copy()
-        d[d == 0] = 1.0
-        return GroupElement(flavor, q * (d / np.abs(d)).conj())
+    return GroupElement(flavor, _haar_matrices(flavor, _haar_normals(flavor, N, rng)[None])[0])
+
+
+def _haar_normals(flavor: str, N: int, rng: np.random.Generator) -> np.ndarray:
+    """The stream read of one Haar draw: (k, N, N) normals, k = 1, 2, 4 by flavor."""
+    reads = {"orthogonal": 1, "unitary": 2, "symplectic": 4}.get(flavor)
+    if reads is None:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return rng.standard_normal((reads, N, N))
+
+
+def _haar_matrices(flavor: str, normals: np.ndarray) -> np.ndarray:
+    """(B, k, N, N) normals to a (B, D, D) stack of unvalidated Haar draws
+    (Mezzadri's QR with the diagonal phase fix, or the symplectic
+    Gram-Schmidt below)."""
     if flavor == "symplectic":
-        return GroupElement(flavor, _haar_symplectic(N, rng))
-    raise ValueError(f"unknown flavor {flavor!r}")
+        return _haar_symplectic(normals)
+    a = normals[:, 0] if flavor == "orthogonal" else normals[:, 0] + 1j * normals[:, 1]
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    phase = np.sign(d) if flavor == "orthogonal" else (d / np.abs(d)).conj()
+    return q * phase[:, None, :]
 
 
 def _quaternion_embed(a, b, c, d) -> np.ndarray:
-    """2N x 2N complex embedding of an N x N quaternion-coefficient matrix."""
-    N = a.shape[0]
-    out = np.empty((2 * N, 2 * N), dtype=complex)
-    out[0::2, 0::2] = a + 1j * b
-    out[0::2, 1::2] = -c - 1j * d
-    out[1::2, 0::2] = c - 1j * d
-    out[1::2, 1::2] = a - 1j * b
+    """(B, 2N, 2N) complex embeddings of (B, N, N) quaternion-coefficient matrices."""
+    B, N = a.shape[:2]
+    out = np.empty((B, 2 * N, 2 * N), dtype=complex)
+    out[:, 0::2, 0::2] = a + 1j * b
+    out[:, 0::2, 1::2] = -c - 1j * d
+    out[:, 1::2, 0::2] = c - 1j * d
+    out[:, 1::2, 1::2] = a - 1j * b
     return out
 
 
-def _haar_symplectic(N: int, rng: np.random.Generator) -> np.ndarray:
-    m = _quaternion_embed(*(rng.standard_normal((N, N)) for _ in range(4)))
+def _haar_symplectic(normals: np.ndarray) -> np.ndarray:
+    m = _quaternion_embed(*normals.swapaxes(0, 1))
     # Gram-Schmidt over column pairs.  Each pair is a quaternionic column;
     # coefficients Q^H P are embeddings of quaternions, so subtracting
     # Q (Q^H P) and scaling by the real norm keep the quaternionic
     # structure while orthonormalizing in C^{2N}.
-    for j in range(N):
-        pair = m[:, 2 * j : 2 * j + 2]
+    for j in range(normals.shape[-1]):
+        pair = m[:, :, 2 * j : 2 * j + 2]
         for k in range(j):
-            prev = m[:, 2 * k : 2 * k + 2]
-            pair -= prev @ (prev.conj().T @ pair)
-        norm_sq = (pair.conj().T @ pair)[0, 0].real
-        pair /= np.sqrt(norm_sq)
+            prev = m[:, :, 2 * k : 2 * k + 2]
+            pair -= prev @ (prev.conj().swapaxes(1, 2) @ pair)
+        norm_sq = (pair.conj().swapaxes(1, 2) @ pair)[:, 0, 0].real
+        pair /= np.sqrt(norm_sq)[:, None, None]
     return m
 
 
@@ -207,15 +218,15 @@ def generator_matrix(N: int, flavor: str = "orthogonal") -> np.ndarray:
     return out
 
 
-def _leg_matrices(g: GroupElement, p: int) -> list[np.ndarray]:
-    U = g.matrix
-    if g.flavor == "orthogonal":
-        return [U] * p
-    if g.flavor == "unitary":
-        return [U if t % 2 == 0 else U.conj() for t in range(p)]
-    J = symplectic_form(g.N)
-    even = -J @ U @ J
-    return [U if t % 2 == 0 else even for t in range(p)]
+def _leg_matrices(flavor: str, mats: np.ndarray, p: int) -> list[np.ndarray]:
+    """Per-leg matrices of a (B, D, D) stack of group elements."""
+    if flavor == "orthogonal":
+        return [mats] * p
+    if flavor == "unitary":
+        return [mats if t % 2 == 0 else mats.conj() for t in range(p)]
+    J = symplectic_form(mats.shape[-1] // 2)
+    even = -J @ mats @ J
+    return [mats if t % 2 == 0 else even for t in range(p)]
 
 
 def act_dense(g: GroupElement, t: CanonicalTensor | np.ndarray, p: int | None = None) -> np.ndarray:
@@ -237,14 +248,20 @@ def act_dense(g: GroupElement, t: CanonicalTensor | np.ndarray, p: int | None = 
             p = dense.ndim
     if p == 0:
         return dense
-    dim = g.matrix.shape[0]
-    if dense.shape != (dim,) * p:
-        raise ValueError(f"expected a tensor of shape {(dim,) * p}, got {dense.shape}")
-    for mat in _leg_matrices(g, p):
-        # Contracting axis 0 and appending the new axis keeps the legs in
-        # order once all p contractions have run.
-        dense = np.tensordot(dense, mat, axes=([0], [0]))
-    return dense
+    return _act_stack(g.flavor, g.matrix[None], dense[None], p)[0]
+
+
+def _act_stack(flavor: str, mats: np.ndarray, dense: np.ndarray, p: int) -> np.ndarray:
+    """(B, D, D) group elements acting on (B, D, ..., D) order-p tensors,
+    element b on tensor b."""
+    B, dim = len(mats), mats.shape[-1]
+    if dense.shape[1:] != (dim,) * p:
+        raise ValueError(f"expected a tensor of shape {(dim,) * p}, got {dense.shape[1:]}")
+    for mat in _leg_matrices(flavor, mats, p):
+        # Contracting the leading leg and appending the new one last keeps
+        # the legs in order once all p contractions have run.
+        dense = dense.reshape(B, dim, -1).swapaxes(1, 2) @ mat
+    return dense.reshape((B,) + (dim,) * p)
 
 
 def act(g: GroupElement, t: CanonicalTensor, *, atol: float = 1e-12) -> CanonicalTensor:

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .ensembles import EnsembleSpec, sample, _C
-from .groups import act_dense, flavor_for_class, givens_rotation, haar_sample, theta_derivative
-from .invariants import TraceGraph, evaluate, melon_graph
+from .ensembles import EnsembleSpec, _C, _canonical_values, _read_normals
+from .groups import (act_dense, givens_rotation, theta_derivative,
+                     _act_stack, _check_members, _haar_matrices, _haar_normals)
+from .invariants import TraceGraph, melon_graph, _evaluate_stack
 from .tensor import (
     CanonicalTensor,
     canonicalize,
@@ -45,7 +46,9 @@ from .tensor import (
     shifted_by_identity,
     unflatten_isometry,
     _class_info,
+    _densify_stack,
     _repeated_mask,
+    _stack_components,
 )
 
 __all__ = [
@@ -68,6 +71,10 @@ ALPHA = 0.01
 MIN_SAMPLES = 100
 Z_BOUND = 4.0
 MAX_COORDS = 64
+#: bytes of dense tensors one chunk of the stacked pipeline holds
+_CHUNK_BYTES = 1 << 22
+#: paired values closer than this, relative to their size, count as equal
+_PAIR_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,38 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 _AUX = 1 << 40
 
 
-def _resolve_sampler(sampler):
-    """Accept an EnsembleSpec or a callable(rng) -> CanonicalTensor."""
-    if isinstance(sampler, EnsembleSpec):
-        spec = sampler
-        return (lambda rng: sample(spec, rng)), spec
-    if callable(sampler):
-        return sampler, None
-    raise TypeError(f"sampler must be an EnsembleSpec or callable, got {type(sampler)!r}")
+def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: bool = False):
+    """Read stream i = ``_stream(seed, i)`` for each sample -- first the
+    tensor (an ensemble's normals, or a callable sampler's CanonicalTensor),
+    then with ``haar`` one Haar element's normals (``flavor`` defaults to the
+    class's group) -- and yield ``(tag, p, N, flavor, values, normals)`` in
+    chunks: (B, C, K) canonical values and (B, k, N, N) Haar normals."""
+    spec = sampler if isinstance(sampler, EnsembleSpec) else None
+    if spec is None and not callable(sampler):
+        raise TypeError(f"sampler must be an EnsembleSpec or callable, got {type(sampler)!r}")
+    rows, normals, size = [], [], None
+    for i in range(n_samples):
+        rng = _stream(seed, i)
+        if spec is not None:
+            tag, p, N = spec.class_tag, spec.p, spec.N
+            rows.append(_read_normals(spec, rng))
+        else:
+            t = sampler(rng)
+            tag, p, N = t.class_tag, t.p, t.N
+            rows.append(_stack_components(t))
+        if size is None:
+            info = _class_info(tag)
+            flavor = flavor or info.group
+            dense_bytes = (info.dim_factor * N) ** p * (8 if info.units is None else 16)
+            size = max(1, _CHUNK_BYTES // dense_bytes)
+        if haar:
+            normals.append(_haar_normals(flavor, N, rng))
+        if len(rows) == size or i == n_samples - 1:
+            vals = np.stack(rows)
+            if spec is not None:
+                vals = _canonical_values(spec, vals)
+            yield tag, p, N, flavor, vals, np.stack(normals) if haar else None
+            rows, normals = [], []
 
 
 def _finish(name, subtests, n_samples, seed):
@@ -151,21 +182,17 @@ def _finish(name, subtests, n_samples, seed):
     )
 
 
-def _coord_matrix(flat: list[np.ndarray]) -> tuple[np.ndarray, list[str]]:
-    """Stack raveled dense tensors into real columns (capped, deterministic)."""
-    arr = np.array(flat)
-    if np.iscomplexobj(arr):
-        cols = np.concatenate([arr.real, arr.imag], axis=1)
-        tags = [f"coord[{j}]" for j in range(arr.shape[1])] + \
-               [f"coord[{j}].im" for j in range(arr.shape[1])]
-    else:
-        cols = arr
-        tags = [f"coord[{j}]" for j in range(arr.shape[1])]
-    if cols.shape[1] > MAX_COORDS:
-        keep = np.unique(np.linspace(0, cols.shape[1] - 1, MAX_COORDS).astype(int))
-        cols = cols[:, keep]
-        tags = [tags[j] for j in keep]
-    return cols, tags
+def _coord_matrix(dense: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The tested real columns of a dense stack (capped, deterministic): its
+    raveled entries, then their imaginary parts for a complex stack."""
+    flat = dense.reshape(len(dense), -1)
+    size = flat.shape[1]
+    if np.iscomplexobj(flat):
+        flat = np.concatenate([flat.real, flat.imag], axis=1)
+    keep = np.arange(flat.shape[1])
+    if len(keep) > MAX_COORDS:
+        keep = np.unique(np.linspace(0, len(keep) - 1, MAX_COORDS).astype(int))
+    return flat[:, keep], [f"coord[{j % size}]" + (".im" if j >= size else "") for j in keep]
 
 
 def invariance_test(sampler, flavor: str | None = None,
@@ -180,54 +207,40 @@ def invariance_test(sampler, flavor: str | None = None,
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    draw, _ = _resolve_sampler(sampler)
-    base, rotated = [], []
-    inv0, inv1 = None, None
-    for i in range(n_samples):
-        rng = _stream(seed, i)
-        t = draw(rng)
-        if flavor is None:
-            flavor = flavor_for_class(t.class_tag)
+    paired: dict[str, list] = {}    # subtest -> chunks of (before, after, scale)
+    for tag, p, N, flavor, vals, normals in _draws(sampler, seed, n_samples, flavor, True):
         if invariant_graphs is None:
-            invariant_graphs = (melon_graph(t.p, _class_info(t.class_tag).melon),)
-        if inv0 is None:
-            inv0 = [[] for _ in invariant_graphs]
-            inv1 = [[] for _ in invariant_graphs]
-        g = haar_sample(flavor, t.N, rng)
-        d0 = densify(t)
-        d1 = act_dense(g, d0, t.p)
-        base.append(d0.ravel())
-        rotated.append(d1.ravel())
+            invariant_graphs = (melon_graph(p, _class_info(tag).melon),)
+        d0 = _densify_stack(_class_info(tag), p, N, vals)
+        mats = _haar_matrices(flavor, normals)
+        _check_members(flavor, mats)
+        d1 = _act_stack(flavor, mats, d0, p)
         for k, gph in enumerate(invariant_graphs):
-            inv0[k].append(evaluate(gph, d0))
-            inv1[k].append(evaluate(gph, d1))
+            v0, v1 = _evaluate_stack(gph, d0), _evaluate_stack(gph, d1)
+            scale = np.maximum(np.abs(v0), np.abs(v1))
+            if np.iscomplexobj(v0) or np.iscomplexobj(v1):
+                paired.setdefault(f"invariant[{k}].re", []).append((v0.real, v1.real, scale))
+                paired.setdefault(f"invariant[{k}].im", []).append((v0.imag, v1.imag, scale))
+            else:
+                paired.setdefault(f"invariant[{k}]", []).append((v0, v1, scale))
+        (X0, tags), (X1, _) = _coord_matrix(d0), _coord_matrix(d1)
+        norms = np.linalg.norm(d0.reshape(len(d0), -1), axis=1)
+        for j, name in enumerate(tags):
+            paired.setdefault(name, []).append((X0[:, j], X1[:, j], norms))
 
     subtests = []
-
-    def ks_subtest(name, a, b):
+    for name, chunks in paired.items():
+        a, b, scale = (np.concatenate(part) for part in zip(*chunks))
         # The samples are index-paired (same tensor before/after rotation), so
-        # pointwise agreement at numerical precision means the distributions
-        # are identical; skipping KS there keeps rounding dust from turning a
-        # degenerate-but-invariant law into a rejection.
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if np.allclose(a, b, rtol=1e-9, atol=1e-12):
+        # pointwise agreement at numerical precision, relative to the size of
+        # what is compared, means the distributions are identical; skipping KS
+        # there keeps rounding dust from turning a degenerate-but-invariant
+        # law into a rejection.
+        if np.all(np.abs(a - b) <= _PAIR_RTOL * scale):
             subtests.append((name, 0.0, 1.0))
-            return
-        res = stats.ks_2samp(a, b, method="asymp")
-        subtests.append((name, float(res.statistic), float(res.pvalue)))
-
-    for k in range(len(invariant_graphs)):
-        v0, v1 = np.asarray(inv0[k]), np.asarray(inv1[k])
-        if np.iscomplexobj(v0) or np.iscomplexobj(v1):
-            ks_subtest(f"invariant[{k}].re", np.real(v0), np.real(v1))
-            ks_subtest(f"invariant[{k}].im", np.imag(v0), np.imag(v1))
         else:
-            ks_subtest(f"invariant[{k}]", v0, v1)
-    X0, tags = _coord_matrix(base)
-    X1, _ = _coord_matrix(rotated)
-    for j, tag in enumerate(tags):
-        ks_subtest(tag, X0[:, j], X1[:, j])
+            res = stats.ks_2samp(a, b, method="asymp")
+            subtests.append((name, float(res.statistic), float(res.pvalue)))
 
     level = ALPHA / len(subtests)
     subs = tuple(Subtest(name, stat, level, p, p >= level)
@@ -240,21 +253,10 @@ def _entry_moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     in storage order."""
     p, N = spec.p, spec.N
     info = _class_info(spec.class_tag)
-    gam = multiplicities(p, N)
-    ident = identity_tensor(p, N).values
-    var = spec.gamma * p / gam / _C[spec.kind]
-    distinct = (~_repeated_mask(p, N)).astype(float)
-    lead = info.lead(p)
-    means, variances = [], []
-    for key, symmetric in info.components(p).items():
-        means.append(spec.beta * ident if key == lead else np.zeros_like(ident))
-        variances.append(var if symmetric else var * distinct)
-    return np.concatenate(means), np.concatenate(variances)
-
-
-def _stack_entries(t: CanonicalTensor) -> np.ndarray:
-    return np.concatenate([t.component(key)
-                           for key in _class_info(t.class_tag).keys(t.p)])
+    shape = (len(info.keys(p)), class_count(p, N))
+    var = np.broadcast_to(spec.gamma * p / multiplicities(p, N) / _C[spec.kind], shape).copy()
+    var[info.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N)] = 0.0
+    return _canonical_values(spec, np.zeros((1,) + shape)).ravel(), var.ravel()
 
 
 def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
@@ -269,13 +271,13 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    draw, spec = _resolve_sampler(sampler)
-    if reference is None:
-        reference = spec
+    if reference is None and isinstance(sampler, EnsembleSpec):
+        reference = sampler
     if reference is None:
         raise ValueError("a callable sampler needs reference= for theoretical moments")
 
-    X = np.array([_stack_entries(draw(_stream(seed, i))) for i in range(n_samples)])
+    X = np.concatenate([vals.reshape(len(vals), -1)
+                        for *_, vals, _ in _draws(sampler, seed, n_samples)])
     mu, var = _entry_moments(reference)
     if X.shape[1] != mu.size:
         raise ValueError(f"sampler produced {X.shape[1]} entries, reference "
@@ -350,15 +352,12 @@ def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0,
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    draw, _ = _resolve_sampler(sampler)
     flats = []
-    for i in range(n_samples):
-        t = draw(_stream(seed, i))
-        if t.class_tag != "sym":
+    for tag, p_, N_, _, vals, _ in _draws(sampler, seed, n_samples):
+        if tag != "sym":
             raise ValueError("isotropy_test expects real-symmetric samples")
-        flats.append(flatten_isometry(t))
-    X = np.array(flats)
-    p_, N_ = t.p, t.N
+        flats.append(np.sqrt(multiplicities(p_, N_)) * vals[:, 0])
+    X = np.concatenate(flats)
     K = class_count(p_, N_)
     if K < 3:
         raise ValueError(f"need at least 3 flattened components, got K={K}")

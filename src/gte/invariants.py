@@ -29,7 +29,6 @@ from .tensor import CanonicalTensor, densify, paired_half_multiplicities, _class
 
 __all__ = [
     "TraceGraph",
-    "are_isomorphic",
     "bouquet_graph",
     "direct_sum",
     "enumerate_rank2",
@@ -58,10 +57,6 @@ class TraceGraph:
         norm = tuple(sorted(tuple(sorted((tuple(a), tuple(b))))
                             for a, b in self.edges))
         object.__setattr__(self, "edges", norm)
-
-    @property
-    def rank(self) -> int:
-        return self.n
 
     def is_connected(self) -> bool:
         """Whether the multigraph is connected (self-loops do not connect)."""
@@ -194,64 +189,6 @@ def enumerate_rank2(p: int, flavor: str = "real") -> list[TraceGraph]:
     return out
 
 
-def are_isomorphic(g1: TraceGraph, g2: TraceGraph) -> bool:
-    """Exact isomorphism test for graphs of rank <= 2.
-
-    Two diagrams are isomorphic when some relabeling of vertices and of
-    positions within each vertex maps one matching onto the other; parity
-    graphs only admit parity-preserving position relabelings.  Exhaustive
-    over the at most 2 * (p!)^2 candidates, which is fine at rank <= 2 and
-    the small p in scope.
-    """
-    if (g1.p, g1.n, g1.flavor) != (g2.p, g2.n, g2.flavor):
-        return False
-    if g1.n > 2:
-        raise ValueError("isomorphism test implemented for rank <= 2 only")
-    if g1.edges == g2.edges:
-        return True
-    p = g1.p
-    if g1.flavor == "parity":
-        odd = list(range(1, p + 1, 2))
-        even = list(range(2, p + 1, 2))
-        pos_maps = []
-        for po in _perms(odd):
-            for pe in _perms(even):
-                m = dict(zip(odd, po)) | dict(zip(even, pe))
-                pos_maps.append(m)
-    else:
-        pos_maps = [dict(zip(range(1, p + 1), pm)) for pm in _perms(list(range(1, p + 1)))]
-    verts = [list(range(g1.n))] if g1.n == 1 else [[0, 1], [1, 0]]
-    target = set(g2.edges)
-    for vmap in verts:
-        # position relabelings are independent per vertex; match vertex 0
-        # first to prune, then vertex 1
-        for m0 in pos_maps:
-            maps = {0: m0}
-            if g1.n == 1:
-                if _relabel(g1.edges, vmap, maps) == target:
-                    return True
-                continue
-            for m1 in pos_maps:
-                maps[1] = m1
-                if _relabel(g1.edges, vmap, maps) == target:
-                    return True
-    return False
-
-
-def _perms(items):
-    from itertools import permutations
-    return permutations(items)
-
-
-def _relabel(edges, vmap, pos_maps):
-    out = set()
-    for (v, k), (w, l) in edges:
-        a = (vmap[v], pos_maps[v][k])
-        b = (vmap[w], pos_maps[w][l])
-        out.add(tuple(sorted((a, b))))
-    return out
-
-
 def _check_compatible(g: TraceGraph, t) -> np.ndarray:
     bad = validate(g)
     if bad:
@@ -380,31 +317,52 @@ def evaluate(g: TraceGraph, t):
     The sum over one index per edge of the product of vertex entries, run
     through a planned sequence of pairwise einsum contractions (self-loops
     are partial-traced inside each vertex first).  Real-flavor results are
-    checked to be real and returned as float; parity flavor returns complex.
+    checked to be real, relative to their size, and returned as float;
+    parity flavor returns complex.
     """
-    dense = _check_compatible(g, t)
+    val = _contract(g, _check_compatible(g, t)[None])[0]
+    return float(val) if g.flavor == "real" else complex(val)
+
+
+def _evaluate_stack(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
+    """Values of the invariant on a (B, D, ..., D) stack of dense tensors;
+    the graph is checked once for the whole stack."""
+    _check_compatible(g, dense[0])
+    return _contract(g, dense)
+
+
+def _contract(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
+    """The planned contraction over a leading batch label."""
     labels = _slot_labels(g)
+    batch = len(g.edges)            # a label no edge uses
     nodes: dict[int, tuple[list[int], np.ndarray]] = {}
     for v in range(g.n):
         lab = labels[v]
         keep = [e for e in lab if lab.count(e) == 1]
-        arr = np.einsum(dense, lab, keep) if len(keep) < g.p else dense
+        arr = np.einsum(dense, [batch, *lab], [batch, *keep]) if len(keep) < g.p else dense
         nodes[v] = (keep, arr)
-    _, steps = _plan(g, dense.shape[0])
+    _, steps = _plan(g, dense.shape[1])
     nid = g.n
     for a, b in steps:
         la, ta = nodes.pop(a)
         lb, tb = nodes.pop(b)
         out = sorted(set(la) ^ set(lb))
-        nodes[nid] = (out, np.einsum(ta, la, tb, lb, out))
+        nodes[nid] = (out, np.einsum(ta, [batch, *la], tb, [batch, *lb], [batch, *out]))
         nid += 1
     (_, val), = nodes.values()
-    val = complex(val)
-    if g.flavor == "real":
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"real-flavor invariant has imaginary part {val.imag:.3e}")
-        return val.real
-    return val
+    return _real_part(val) if g.flavor == "real" else np.asarray(val, dtype=complex)
+
+
+def _real_part(val: np.ndarray) -> np.ndarray:
+    """Real values of a real-flavor invariant, after checking that every
+    imaginary part is negligible relative to its value."""
+    if not np.iscomplexobj(val):
+        return val
+    bad = np.abs(val.imag) > 1e-10 * np.abs(val)
+    if np.any(bad):
+        raise ValueError("real-flavor invariant has imaginary part "
+                         f"{val.imag[bad][0]:.3e}")
+    return val.real
 
 
 def direct_sum(g: TraceGraph, t):
@@ -425,9 +383,7 @@ def direct_sum(g: TraceGraph, t):
                 break
         total += term
     if g.flavor == "real":
-        if abs(total.imag) > 1e-10:
-            raise ValueError(f"real-flavor invariant has imaginary part {total.imag:.3e}")
-        return total.real
+        return float(_real_part(np.array(total)))
     return total
 
 

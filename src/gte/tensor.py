@@ -274,6 +274,13 @@ class _TensorClass:
         return None if self.antisymmetric else self.keys(p)[0]
 
     @lru_cache(maxsize=None)
+    def antisymmetric_rows(self, p: int) -> np.ndarray:
+        """Boolean vector over the components: which are antisymmetric."""
+        out = ~np.fromiter(self.components(p).values(), dtype=bool)
+        out.setflags(write=False)
+        return out
+
+    @lru_cache(maxsize=None)
     def dense_units(self, p: int) -> np.ndarray:
         """Row c is the flattened Kronecker product of the units of key c."""
         rows = []
@@ -524,24 +531,33 @@ def densify(t: CanonicalTensor) -> np.ndarray:
     ``2 * i + iota`` with ``i`` the component index and ``iota`` the row or
     column of the quaternion factor.
     """
-    info = _class_info(t.class_tag)
-    p, N = t.p, t.N
+    return _densify_stack(_class_info(t.class_tag), t.p, t.N, _stack_components(t)[None])[0]
+
+
+def _stack_components(t: CanonicalTensor) -> np.ndarray:
+    """The (C, K) array of a tensor's components in storage order."""
+    zero = _zero_vector(t.K)
+    return np.stack([t.data.get(key, zero) for key in _class_info(t.class_tag).keys(t.p)])
+
+
+def _densify_stack(info: _TensorClass, p: int, N: int, vals: np.ndarray) -> np.ndarray:
+    """Dense forms of a stack of tensors: (B, C, K) canonical values, the
+    components of each in storage order, to (B, D, ..., D)."""
     cls, sgn, _ = _dense_tables(p, N)
-    symmetric, keys = info.components(p), info.keys(p)
+    B, C, K = vals.shape
+    # one row gathers fastest as a vector, several as one 2-D gather
+    parts = (vals[0, 0][cls] if B * C == 1 else vals.reshape(-1, K)[:, cls]).reshape(B, C, -1)
+    anti = info.antisymmetric_rows(p)
+    if anti.any():
+        parts[:, anti] *= sgn
     if info.units is None:
-        flat = t.data[keys[0]][cls]
-        return (flat if symmetric[keys[0]] else flat * sgn).reshape((N,) * p)
-    present = [c for c, key in enumerate(keys) if key in t.data]
-    parts = np.zeros((len(present), N**p))
-    for row, c in enumerate(present):
-        flat = t.data[keys[c]][cls]
-        parts[row] = flat if symmetric[keys[c]] else flat * sgn
-    # out[i, iota]: i runs over component positions, iota over unit
+        return parts.reshape((B,) + (N,) * p)
+    # out[b, i, iota]: i runs over component positions, iota over unit
     # positions; interleave them so that leg t indexes as f * i_t + iota_t
     f = info.dim_factor
-    out = parts.T @ info.dense_units(p)[present]
-    legs = [axis for leg in range(p) for axis in (leg, p + leg)]
-    return out.reshape((N,) * p + (f,) * p).transpose(legs).reshape((f * N,) * p)
+    out = parts.swapaxes(1, 2) @ info.dense_units(p)
+    legs = [0] + [1 + axis for leg in range(p) for axis in (leg, p + leg)]
+    return out.reshape((B,) + (N,) * p + (f,) * p).transpose(legs).reshape((B,) + (f * N,) * p)
 
 
 def frobenius_norm_sq(t) -> float:

@@ -9,15 +9,27 @@ the sampler can show that it changes nothing:
 * the exact ``dumps_tensor`` string of one tensor per class, including a
   self-dual tensor whose zero and absent components write no entries;
 * the ``ClassViolationError`` pair and message for one off-class dense
-  array per class.
+  array per class;
+* the sha256 of ``json.dumps(report_to_dict(report), sort_keys=True)`` for
+  the verification suites (seed 0, n = 200), so every subtest statistic,
+  p-value and verdict is pinned, on the ensemble path and on the callable
+  sampler path.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from gte import CanonicalTensor, ClassViolationError, EnsembleSpec, canonicalize, sample_batch
+from gte.harness import (
+    gaussianity_independence_test,
+    invariance_test,
+    isotropy_test,
+    report_to_dict,
+    uniform_entry_sampler,
+)
 from gte.serialize import dumps_tensor, loads_tensor
 
 DRAW_SHA256 = {
@@ -89,3 +101,39 @@ def test_class_violation_report_is_pinned(tag, dense, pair, message):
         canonicalize(dense, tag)
     assert exc.value.pair == pair
     assert str(exc.value) == message
+
+
+REPORT_SHA256 = {
+    "invariance GOTE 3/2":
+        "a0673fe8f812b13e24fd5d5896d61af020c73cc53eedbb1205f17a9ffc97510c",
+    "invariance GSTE 2/2":
+        "f1fa71466bf7620e094c784c60c11e6e225aea96b1b8b0967410b5090e1ccab6",
+    "invariance GUTE 4/2":
+        "801058deb96603cb97348615c755168e01890f07802287c4ace2b157ff4bece4",
+    "invariance uniform 3/2":
+        "c9fc0afd6bfa6a6db51c2ea51c3dc179da7cae5940b7d7841f897899700b49bc",
+    "gaussianity GUTE 4/2":
+        "9f4f24d0fa03c7933b039d28d82e5e287ef46d1b713741796c1d4589719dc646",
+    "isotropy GOTE 3/2":
+        "c1d60d93943d84e53a74e5a7af5f19d08cc93487f493baff234a01cb4869e392",
+    "isotropy shifted GOTE 2/2":
+        "b7f65d721f11d8803709fe9b7c66adbc480fbd2052bd27eba2fdead052bd6488",
+}
+
+SUITE_CALLS = {
+    "invariance GOTE 3/2": (invariance_test, EnsembleSpec("GOTE", 3, 2)),
+    "invariance GSTE 2/2": (invariance_test, EnsembleSpec("GSTE", 2, 2)),
+    "invariance GUTE 4/2": (invariance_test, EnsembleSpec("GUTE", 4, 2)),
+    "invariance uniform 3/2": (invariance_test, uniform_entry_sampler(3, 2)),
+    "gaussianity GUTE 4/2": (gaussianity_independence_test, EnsembleSpec("GUTE", 4, 2)),
+    "isotropy GOTE 3/2": (isotropy_test, EnsembleSpec("GOTE", 3, 2)),
+    "isotropy shifted GOTE 2/2": (isotropy_test, EnsembleSpec("GOTE", 2, 2, beta=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_suite_reports_are_pinned(name):
+    suite, sampler = SUITE_CALLS[name]
+    report = suite(sampler, n_samples=200, seed=0)
+    text = json.dumps(report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]

@@ -1,5 +1,7 @@
 """Trace graphs, contraction planner, invariant values, exact invariance."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from conftest import random_tensor
 from gte.groups import act_dense, flavor_for_class, haar_sample
 from gte.invariants import (
     TraceGraph,
-    are_isomorphic,
     bouquet_graph,
     direct_sum,
     enumerate_rank2,
@@ -81,6 +82,59 @@ def test_enumerate_rank2_parity_even_cross_only():
         crosses = [sum(1 for (a, b) in g.edges if a[0] != b[0]) for g in fam]
         assert all(c % 2 == 0 for c in crosses)
         assert sorted(crosses) == sorted(range(p, 0, -2))
+
+
+def are_isomorphic(g1: TraceGraph, g2: TraceGraph) -> bool:
+    """Exact isomorphism test for graphs of rank <= 2.
+
+    Two diagrams are isomorphic when some relabeling of vertices and of
+    positions within each vertex maps one matching onto the other; parity
+    graphs only admit parity-preserving position relabelings.  Exhaustive
+    over the at most 2 * (p!)^2 candidates, which is fine at rank <= 2 and
+    the small p in scope.
+    """
+    if (g1.p, g1.n, g1.flavor) != (g2.p, g2.n, g2.flavor):
+        return False
+    if g1.n > 2:
+        raise ValueError("isomorphism test implemented for rank <= 2 only")
+    if g1.edges == g2.edges:
+        return True
+    p = g1.p
+    if g1.flavor == "parity":
+        odd = list(range(1, p + 1, 2))
+        even = list(range(2, p + 1, 2))
+        pos_maps = []
+        for po in permutations(odd):
+            for pe in permutations(even):
+                m = dict(zip(odd, po)) | dict(zip(even, pe))
+                pos_maps.append(m)
+    else:
+        pos_maps = [dict(zip(range(1, p + 1), pm)) for pm in permutations(list(range(1, p + 1)))]
+    verts = [list(range(g1.n))] if g1.n == 1 else [[0, 1], [1, 0]]
+    target = set(g2.edges)
+    for vmap in verts:
+        # position relabelings are independent per vertex; match vertex 0
+        # first to prune, then vertex 1
+        for m0 in pos_maps:
+            maps = {0: m0}
+            if g1.n == 1:
+                if _relabel(g1.edges, vmap, maps) == target:
+                    return True
+                continue
+            for m1 in pos_maps:
+                maps[1] = m1
+                if _relabel(g1.edges, vmap, maps) == target:
+                    return True
+    return False
+
+
+def _relabel(edges, vmap, pos_maps):
+    out = set()
+    for (v, k), (w, l) in edges:
+        a = (vmap[v], pos_maps[v][k])
+        b = (vmap[w], pos_maps[w][l])
+        out.add(tuple(sorted((a, b))))
+    return out
 
 
 def test_are_isomorphic_relabeling():
