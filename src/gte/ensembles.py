@@ -71,7 +71,7 @@ class EnsembleSpec:
             raise ValueError("p and N must be positive")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        _class_info(self.class_tag).check_order(self.p, f"{self.kind} tensors")
+        _class_info(self.class_tag).check_shape(self.p, self.N, f"{self.kind} tensors")
 
     @property
     def class_tag(self) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .ensembles import EnsembleSpec, _C, _canonical_values, _read_normals
 from .groups import (act_dense, givens_rotation, theta_derivative,
@@ -165,6 +164,11 @@ def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: 
             rows, normals = [], []
 
 
+def _ks_2samp(a: np.ndarray, b: np.ndarray):
+    from scipy import stats     # on first use: only the KS suites load scipy
+    return stats.ks_2samp(a, b, method="asymp")
+
+
 def _finish(name, subtests, n_samples, seed):
     # headline = the worst subtest (failing ones first, then largest statistic)
     worst = max(subtests, key=lambda s: (not s.passed, s.statistic),
@@ -239,7 +243,7 @@ def invariance_test(sampler, flavor: str | None = None,
         if np.all(np.abs(a - b) <= _PAIR_RTOL * scale):
             subtests.append((name, 0.0, 1.0))
         else:
-            res = stats.ks_2samp(a, b, method="asymp")
+            res = _ks_2samp(a, b)
             subtests.append((name, float(res.statistic), float(res.pvalue)))
 
     level = ALPHA / len(subtests)
@@ -324,6 +328,9 @@ def derivative_identity_test(n_trials: int = 100, seed: int = 0,
     one-parameter action at theta = 0, on random symmetric tensors with
     p <= 4, N <= 3."""
     configs = [(p, N) for p in (1, 2, 3, 4) for N in (2, 3)]
+    if n_trials < len(configs):
+        raise ValueError(f"need at least {len(configs)} trials, one per (p, N) "
+                         f"configuration, got {n_trials}")
     worst = {c: 0.0 for c in configs}
     for i in range(n_trials):
         p, N = configs[i % len(configs)]
@@ -385,7 +392,7 @@ def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0,
     for j in range(10):
         w = rng_dir.standard_normal(K)
         w /= np.linalg.norm(w)
-        res = stats.ks_2samp(U @ w, V @ w, method="asymp")
+        res = _ks_2samp(U @ w, V @ w)
         subtests.append(Subtest(f"projection[{j}]", float(res.statistic), level,
                                 float(res.pvalue), bool(res.pvalue >= level)))
     name = "isotropy-centered" if center else "isotropy"

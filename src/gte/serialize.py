@@ -29,7 +29,7 @@ import numpy as np
 
 from .groups import FLAVORS, GroupElement
 from .invariants import TraceGraph
-from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices, _class_info
+from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices, _class_info, _class_positions
 
 __all__ = [
     "dumps_graph",
@@ -93,10 +93,10 @@ def tensor_from_dict(d: dict) -> CanonicalTensor:
     if not (isinstance(p, int) and isinstance(N, int) and p >= 1 and N >= 1):
         raise ValueError(f"p and N must be positive integers, got p={p!r} N={N!r}")
     info = _class_info(tag)
+    info.check_shape(p, N, f"{tag} tensors")
     keys = info.keys(p)
-    classes = canonical_indices(p, N)
-    pos = {m: j for j, m in enumerate(classes)}
-    K = len(classes)
+    pos = _class_positions(p, N)
+    K = len(pos)
     data = {} if info.sparse else {key: np.zeros(K) for key in keys}
 
     for e in raw_entries:

@@ -48,6 +48,7 @@ __all__ = [
     "QUATERNION_UNITS",
     "CanonicalTensor",
     "ClassViolationError",
+    "MAX_DENSE_ENTRIES",
     "MultiIndex",
     "canonical_indices",
     "canonicalize",
@@ -130,9 +131,25 @@ def sort_with_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
     return srt, -1 if inversions % 2 else 1
 
 
+#: Largest dense size ``(dim_factor * N)**p`` accepted, in entries.  Every
+#: tensor, ensemble and index table is refused above it before anything is
+#: allocated; GOTE p=6 N=8 has 262 144 entries.
+MAX_DENSE_ENTRIES = 1 << 24
+
+
+def _check_dense_size(p: int, N: int, dim_factor: int = 1) -> None:
+    """Raise ValueError when ``(dim_factor * N)**p`` exceeds MAX_DENSE_ENTRIES."""
+    D = dim_factor * N
+    # exact below the limit; past bit_length() factors of D >= 2 it is above
+    if D ** min(p, MAX_DENSE_ENTRIES.bit_length()) > MAX_DENSE_ENTRIES:
+        raise ValueError(f"p={p}, N={N} needs a dense array of {D}^{p} entries, "
+                         f"above the limit of {MAX_DENSE_ENTRIES}")
+
+
 @lru_cache(maxsize=None)
 def canonical_indices(p: int, N: int) -> tuple[tuple[int, ...], ...]:
     """All non-decreasing index tuples of length p over range(N), lex order."""
+    _check_dense_size(p, N)
     return tuple(itertools.combinations_with_replacement(range(N), p))
 
 
@@ -205,18 +222,21 @@ def _dense_tables(p: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     permutation (0 on repeated indices) and ``rep[k]`` the flat dense
     position of class k's representative tuple.
     """
-    positions = _class_positions(p, N)
-    total = N**p
-    cls = np.empty(total, dtype=np.int64)
-    sgn = np.empty(total, dtype=np.int8)
-    for flat, tup in enumerate(itertools.product(range(N), repeat=p)):
-        srt, s = sort_with_sign(tup)
-        cls[flat] = positions[srt]
-        sgn[flat] = s
-    rep = np.array(
-        [np.ravel_multi_index(m, (N,) * p) for m in canonical_indices(p, N)],
-        dtype=np.int64,
-    )
+    _check_dense_size(p, N)
+    # column j of idx is the index tuple at flat position j
+    idx = np.indices((N,) * p, dtype=np.min_scalar_type(N - 1)).reshape(p, -1)
+    odd, unsorted = np.zeros((2, idx.shape[1]), dtype=bool)
+    for a, b in itertools.combinations(range(p), 2):
+        inverted = idx[a] > idx[b]
+        odd ^= inverted
+        unsorted |= inverted
+    idx.sort(axis=0)
+    sgn = np.where(odd, np.int8(-1), np.int8(1))
+    sgn[(idx[1:] == idx[:-1]).any(axis=0)] = 0
+    # the sorted tuples in ascending flat position are the canonical ones
+    # in lexicographic order
+    rep = np.flatnonzero(~unsorted)
+    cls = np.searchsorted(rep, np.ravel_multi_index(tuple(idx), (N,) * p))
     for arr in (cls, sgn, rep):
         arr.setflags(write=False)
     return cls, sgn, rep
@@ -297,10 +317,12 @@ class _TensorClass:
         """Squared Hilbert-Schmidt norm of every dense unit product."""
         return float(self.dim_factor) ** self.slots(p)
 
-    def check_order(self, p: int, what: str) -> None:
+    def check_shape(self, p: int, N: int, what: str) -> None:
+        """Refuse an order the class does not admit or an oversized dense form."""
         m, r = self.order
         if p % m != r:
             raise ValueError(f"{what} need p = {r} mod {m}, got p = {p}")
+        _check_dense_size(p, N, self.dim_factor)
 
 
 _CLASSES = {c.tag: c for c in (
@@ -387,7 +409,7 @@ class CanonicalTensor:
         info = _class_info(self.class_tag)
         if self.p < 1 or self.N < 1:
             raise ValueError("p and N must be at least 1")
-        info.check_order(self.p, f"{self.class_tag} tensors")
+        info.check_shape(self.p, self.N, f"{self.class_tag} tensors")
         K = class_count(self.p, self.N)
         symmetric = info.components(self.p)
         clean: dict[tuple[int, ...], np.ndarray] = {}

@@ -1,12 +1,15 @@
 """Command-line interface: argument handling, output formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gte.tensor
 from gte.cli import run
 from gte.groups import GroupElement, act, haar_sample
 from gte.invariants import bouquet_graph, evaluate, melon_graph
@@ -189,6 +192,70 @@ def test_verify_derivative_passes(capsys):
                 "--samples", "40"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("derivative-identity: PASS")
+
+
+@pytest.mark.parametrize("samples", ["-3", "0", "7"])
+def test_verify_derivative_refuses_fewer_trials_than_configurations(samples, capsys):
+    assert run(["verify", "--suite", "derivative", "--seed", "0",
+                "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 8 trials" in captured.err
+
+
+def test_size_guard_refuses_sample_and_act(tmp_path, monkeypatch, capsys):
+    draws = str(tmp_path / "draws.ndjson")
+    assert run(["sample", "--kind", "gote", "--p", "3", "--dim", "2",
+                "--seed", "1", "--count", "2", "--out", draws]) == 0
+    monkeypatch.setattr(gte.tensor, "MAX_DENSE_ENTRIES", 7)   # 2^3 = 8 entries
+    out = str(tmp_path / "refused.ndjson")
+    assert run(["sample", "--kind", "gote", "--p", "3", "--dim", "2",
+                "--seed", "1", "--out", out]) == 2
+    assert run(["act", "--haar", "--seed", "2", "--tensor", draws, "--out", out]) == 2
+    # self-dual tensors are dense in dimension 2N: (2*2)^2 = 16 > 15
+    monkeypatch.setattr(gte.tensor, "MAX_DENSE_ENTRIES", 15)
+    assert run(["sample", "--kind", "gste", "--p", "2", "--dim", "2",
+                "--seed", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("above the limit") == 3
+    assert not (tmp_path / "refused.ndjson").exists()
+
+
+_COLD_START = """
+import sys
+import gte, gte.cli
+
+work = sys.argv[1]
+def gte_ok(*argv):
+    code = gte.cli.main(list(argv))
+    assert code == 0, (argv, code)
+
+gte_ok("identity", "--p", "2", "--dim", "2", "--out", work + "/id.ndjson")
+gte_ok("sample", "--kind", "gote", "--p", "3", "--dim", "2", "--count", "3",
+       "--seed", "1", "--out", work + "/draws.ndjson")
+gte_ok("act", "--haar", "--seed", "2", "--tensor", work + "/draws.ndjson",
+       "--out", work + "/rotated.ndjson")
+gte_ok("invariant", "--rank2", "--tensor", work + "/rotated.ndjson",
+       "--out", work + "/rotated.csv")
+print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+gte_ok("verify", "--suite", "isotropy", "--p", "3", "--dim", "2",
+       "--samples", "100", "--seed", "0")
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_only_verify_imports_scipy(tmp_path):
+    # not a timing gate: the commands that need no KS test load no scipy
+    src = str(Path(gte.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules, verify_line, loaded = proc.stdout.splitlines()
+    assert scipy_modules == ""
+    assert verify_line.startswith("isotropy: PASS")
+    assert loaded == "True"
 
 
 def test_verify_json_output_parses(capsys):

@@ -31,6 +31,16 @@ def test_derivative_identity_passes():
     assert rep.statistic <= 1e-6
 
 
+@pytest.mark.parametrize("n_trials", [-3, 0, 7])
+def test_derivative_identity_refuses_untested_configurations(n_trials):
+    # fewer trials than (p, N) configurations would report the untested
+    # ones as passing with statistic 0
+    with pytest.raises(ValueError, match="at least 8 trials"):
+        derivative_identity_test(n_trials=n_trials, seed=0)
+    rep = derivative_identity_test(n_trials=8, seed=0)
+    assert rep.passed and rep.n_samples == 8 and len(rep.subtests) == 8
+
+
 @pytest.mark.parametrize("kind,p,N", [
     ("GOTE", 3, 2), ("GUTE", 2, 3), ("GSTE", 2, 2)])
 def test_invariance_accepts_the_ensembles(kind, p, N):

@@ -10,6 +10,7 @@ from conftest import random_tensor
 from gte.tensor import (
     CanonicalTensor,
     ClassViolationError,
+    MAX_DENSE_ENTRIES,
     MultiIndex,
     QUATERNION_UNITS,
     canonical_indices,
@@ -29,7 +30,11 @@ from gte.tensor import (
     sort_with_sign,
     unflatten_isometry,
     zeros,
+    _check_dense_size,
+    _dense_tables,
 )
+from gte.ensembles import EnsembleSpec
+from gte.serialize import tensor_from_dict
 
 
 # -- combinatorics ---------------------------------------------------------
@@ -83,6 +88,58 @@ def test_sort_with_sign():
     assert sort_with_sign((0, 2, 1)) == ((0, 1, 2), -1)
     # repeated indices report sign 0: antisymmetric entries vanish there
     assert sort_with_sign((1, 1, 0)) == ((0, 1, 1), 0)
+
+
+def _dense_tables_loop(p, N):
+    """Reference: the tables built one dense position at a time."""
+    positions = {m: k for k, m in enumerate(canonical_indices(p, N))}
+    cls = np.empty(N**p, dtype=np.int64)
+    sgn = np.empty(N**p, dtype=np.int8)
+    for flat, tup in enumerate(itertools.product(range(N), repeat=p)):
+        srt, s = sort_with_sign(tup)
+        cls[flat] = positions[srt]
+        sgn[flat] = s
+    rep = np.array([np.ravel_multi_index(m, (N,) * p) for m in canonical_indices(p, N)],
+                   dtype=np.int64)
+    return cls, sgn, rep
+
+
+@pytest.mark.parametrize("p,N", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 4),
+                                 (5, 3), (6, 2), (6, 5), (6, 8)])
+def test_dense_tables_match_the_loop(p, N):
+    for got, want in zip(_dense_tables(p, N), _dense_tables_loop(p, N)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+def test_dense_size_guard_is_arithmetic():
+    # exact at the limit, refused one step past it, and refused at sizes
+    # that could never be allocated without computing them
+    _check_dense_size(24, 2)
+    _check_dense_size(12, 2, dim_factor=2)
+    _check_dense_size(1, MAX_DENSE_ENTRIES)
+    _check_dense_size(10**9, 1)
+    for args in [(25, 2), (13, 2, 2), (1, MAX_DENSE_ENTRIES + 1), (10**9, 2),
+                 (2, 10**40)]:
+        with pytest.raises(ValueError, match="above the limit"):
+            _check_dense_size(*args)
+
+
+def test_oversized_configurations_are_refused_before_allocating():
+    with pytest.raises(ValueError, match="above the limit"):
+        EnsembleSpec("GOTE", 25, 2)
+    # self-dual tensors are dense in dimension 2N: N^p = 1 here, (2N)^p is not
+    EnsembleSpec("GSTE", 22, 1)
+    with pytest.raises(ValueError, match="above the limit"):
+        EnsembleSpec("GSTE", 26, 1)
+    with pytest.raises(ValueError, match="above the limit"):
+        canonical_indices(3, 10**6)
+    with pytest.raises(ValueError, match="above the limit"):
+        CanonicalTensor("sym", 3, 10**6, {})
+    # 4^31 self-dual component keys would be built before any other check
+    with pytest.raises(ValueError, match="above the limit"):
+        tensor_from_dict({"class": "selfdual", "p": 62, "N": 1, "entries": []})
 
 
 def test_multiindex_bounds():
