@@ -13,7 +13,6 @@ FORMAT_VERSION = "1"
 from .tensor import (  # noqa: F401
     CanonicalTensor,
     ClassViolationError,
-    MultiIndex,
     canonicalize,
     densify,
     flatten_isometry,

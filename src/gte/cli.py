@@ -38,15 +38,7 @@ from .invariants import (
     melon_graph,
     validate,
 )
-from .serialize import (
-    dumps_graph,
-    dumps_tensor,
-    load_graph,
-    load_matrix,
-    load_tensors,
-    loads_graph,
-    save_tensor,
-)
+from .serialize import dumps_graph, dumps_tensor, load_tensors, loads_graph, loads_matrix
 from .tensor import ClassViolationError, identity_tensor, _class_info
 
 
@@ -130,13 +122,34 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _read_tensors(path: str):
+def _load(what: str, path: str, load):
+    """``load(path)``, with a file that cannot be read or parsed reported as
+    an input error that names the file."""
     try:
-        return load_tensors(path)
+        return load(path)
     except OSError as e:
-        raise _InputError(f"cannot read tensor file {path}: {e.strerror}")
+        raise _InputError(f"cannot read {what} file {path}: {e.strerror}")
     except (ValueError, KeyError, TypeError) as e:
-        raise _InputError(f"bad tensor file {path}: {e}")
+        raise _InputError(f"bad {what} file {path}: {e}")
+
+
+def _text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _graph_lines(path: str) -> list[TraceGraph]:
+    """The graphs of a file, one per nonblank line, as the emit side writes."""
+    lines = [ln for ln in _text(path).splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("no graphs")
+    graphs = []
+    for i, ln in enumerate(lines, start=1):
+        try:
+            graphs.append(loads_graph(ln))
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"line {i}: {e}") from e
+    return graphs
 
 
 class _InputError(Exception):
@@ -157,17 +170,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    tensors = _read_tensors(args.tensor)
+    tensors = _load("tensor", args.tensor, load_tensors)
     if args.haar and args.seed is None:
         raise _UsageError("--haar requires --seed")
     g_fixed = None
     if args.matrix:
-        try:
-            g_fixed = load_matrix(args.matrix)
-        except OSError as e:
-            raise _InputError(f"cannot read matrix file {args.matrix}: {e.strerror}")
-        except (ValueError, KeyError, TypeError) as e:
-            raise _InputError(f"bad matrix file {args.matrix}: {e}")
+        g_fixed = _load("matrix", args.matrix, lambda path: loads_matrix(_text(path)))
     out_lines = []
     for i, t in enumerate(tensors):
         if g_fixed is not None:
@@ -183,13 +191,7 @@ def _cmd_act(args) -> int:
 def _graphs_for(args, t) -> list[tuple[str, TraceGraph]]:
     info = _class_info(t.class_tag)
     if args.graph:
-        try:
-            g = load_graph(args.graph)
-        except OSError as e:
-            raise _InputError(f"cannot read graph file {args.graph}: {e.strerror}")
-        except (ValueError, KeyError, TypeError) as e:
-            raise _InputError(f"bad graph file {args.graph}: {e}")
-        return [("graph", g)]
+        return [("graph", _load("graph", args.graph, lambda path: loads_graph(_text(path))))]
     if args.melon:
         return [("melon", melon_graph(t.p, info.melon))]
     if args.bouquet:
@@ -203,7 +205,7 @@ def _cross_edges(g: TraceGraph) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    tensors = _read_tensors(args.tensor)
+    tensors = _load("tensor", args.tensor, load_tensors)
     if not tensors:
         raise _InputError(f"bad tensor file {args.tensor}: no tensors")
     graphs = _graphs_for(args, tensors[0])
@@ -236,22 +238,11 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_graphs(args) -> int:
     if args.check:
-        # the emit side writes one graph per line; check every line
-        try:
-            with open(args.check, encoding="utf-8") as fh:
-                lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        except OSError as e:
-            raise _InputError(f"cannot read graph file {args.check}: {e.strerror}")
-        if not lines:
-            raise _InputError(f"bad graph file {args.check}: no graphs")
+        graphs = _load("graph", args.check, _graph_lines)
         problems = []
-        for i, ln in enumerate(lines, start=1):
-            try:
-                gs = loads_graph(ln)
-            except (ValueError, KeyError, TypeError) as e:
-                raise _InputError(f"bad graph file {args.check}: line {i}: {e}")
-            prefix = f"line {i}: " if len(lines) > 1 else ""
-            problems += [prefix + p for p in validate(gs)]
+        for i, g in enumerate(graphs, start=1):
+            prefix = f"line {i}: " if len(graphs) > 1 else ""
+            problems += [prefix + p for p in validate(g)]
         if problems:
             _write("".join(p + "\n" for p in problems), args.out)
             return 1
@@ -271,11 +262,7 @@ def _cmd_graphs(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    t = identity_tensor(args.p, args.dim)
-    if args.out:
-        save_tensor(t, args.out)
-    else:
-        sys.stdout.write(dumps_tensor(t) + "\n")
+    _write(dumps_tensor(identity_tensor(args.p, args.dim)) + "\n", args.out)
     return 0
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .tensor import CanonicalTensor, densify, paired_half_multiplicities, _class
 __all__ = [
     "TraceGraph",
     "bouquet_graph",
-    "direct_sum",
     "enumerate_rank2",
     "evaluate",
     "melon_graph",
@@ -363,28 +361,6 @@ def _real_part(val: np.ndarray) -> np.ndarray:
         raise ValueError("real-flavor invariant has imaginary part "
                          f"{val.imag[bad][0]:.3e}")
     return val.real
-
-
-def direct_sum(g: TraceGraph, t):
-    """Brute-force evaluation: explicit sum over all edge-index assignments.
-
-    Exponential in the number of edges.  :func:`evaluate` never falls back
-    to it; it is the oracle the contraction planner is tested against.
-    """
-    dense = _check_compatible(g, t)
-    labels = _slot_labels(g)
-    dim = dense.shape[0]
-    total = 0.0 + 0.0j
-    for assign in product(range(dim), repeat=len(g.edges)):
-        term = 1.0 + 0.0j
-        for v in range(g.n):
-            term *= dense[tuple(assign[e] for e in labels[v])]
-            if term == 0.0:
-                break
-        total += term
-    if g.flavor == "real":
-        return float(_real_part(np.array(total)))
-    return total
 
 
 def paired_trace(t: CanonicalTensor) -> float:

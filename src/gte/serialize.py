@@ -1,11 +1,12 @@
-"""JSON round-tripping for tensors, group elements, and trace graphs.
+"""JSON string codec for tensors, group elements, and trace graphs.
 
-File formats use 1-based tensor indices (as in standard index notation);
-the in-memory types are 0-based.  This module is the only place where the
-shift happens.  All writers are deterministic: fixed key order, canonical
-entry order, shortest-round-trip floats, one JSON object per line.  A tensor
-file is NDJSON: :func:`load_tensors` reads every line of it, and
-:func:`load_tensor` reads a file that holds exactly one tensor.
+Each ``dumps_*`` writes one object as a one-line JSON string and each
+``loads_*`` reads one back, refusing a malformed object with ``ValueError``.
+A tensor file is NDJSON, ``dumps_tensor(t) + "\\n"`` per tensor, and
+:func:`load_tensors` reads one back.  Strings use 1-based tensor indices (as
+in standard index notation); the in-memory types are 0-based.  This module
+is the only place where the shift happens.  All writers are deterministic:
+fixed key order, canonical entry order, shortest-round-trip floats.
 
 Formats
 -------
@@ -35,22 +36,10 @@ __all__ = [
     "dumps_graph",
     "dumps_matrix",
     "dumps_tensor",
-    "graph_from_dict",
-    "graph_to_dict",
-    "load_graph",
-    "load_matrix",
-    "load_tensor",
     "load_tensors",
     "loads_graph",
     "loads_matrix",
     "loads_tensor",
-    "matrix_from_dict",
-    "matrix_to_dict",
-    "save_graph",
-    "save_matrix",
-    "save_tensor",
-    "tensor_from_dict",
-    "tensor_to_dict",
 ]
 
 
@@ -58,7 +47,7 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "), allow_nan=False)
 
 
-def tensor_to_dict(t: CanonicalTensor) -> dict:
+def dumps_tensor(t: CanonicalTensor) -> str:
     info = _class_info(t.class_tag)
     keys = info.keys(t.p)
     entries = []
@@ -79,10 +68,11 @@ def tensor_to_dict(t: CanonicalTensor) -> dict:
             for m, x in zip(classes, t.data[eps].tolist()):
                 if x != 0.0:
                     entries.append({"idx": [i + 1 for i in m], "re": x, "eps": list(eps)})
-    return {"class": t.class_tag, "p": t.p, "N": t.N, "entries": entries}
+    return _dumps({"class": t.class_tag, "p": t.p, "N": t.N, "entries": entries})
 
 
-def tensor_from_dict(d: dict) -> CanonicalTensor:
+def loads_tensor(s: str) -> CanonicalTensor:
+    d = json.loads(s)
     try:
         tag, p, N = d["class"], d["p"], d["N"]
         raw_entries = d["entries"]
@@ -122,18 +112,23 @@ def tensor_from_dict(d: dict) -> CanonicalTensor:
             raise ValueError(f"eps must be a length-{len(keys[0])} tuple over "
                              f"0..{len(info.units) - 1}, got {eps}")
         data.setdefault(eps, np.zeros(K))[j] = re
-    if not data:
-        data[keys[0]] = np.zeros(K)
     return CanonicalTensor(tag, p, N, data)
 
 
-def matrix_to_dict(g: GroupElement) -> dict:
+def load_tensors(path) -> list[CanonicalTensor]:
+    """Every tensor of an NDJSON file, one per nonblank line, in order."""
+    with open(path, encoding="utf-8") as fh:
+        return [loads_tensor(ln) for ln in fh.read().splitlines() if ln.strip()]
+
+
+def dumps_matrix(g: GroupElement) -> str:
     rows = [[[float(z.real), float(z.imag)] for z in row]
             for row in np.atleast_2d(g.matrix).astype(complex)]
-    return {"flavor": g.flavor, "N": g.N, "rows": rows}
+    return _dumps({"flavor": g.flavor, "N": g.N, "rows": rows})
 
 
-def matrix_from_dict(d: dict) -> GroupElement:
+def loads_matrix(s: str) -> GroupElement:
+    d = json.loads(s)
     try:
         flavor, N, rows = d["flavor"], d["N"], d["rows"]
     except (KeyError, TypeError) as exc:
@@ -149,82 +144,22 @@ def matrix_from_dict(d: dict) -> GroupElement:
     return GroupElement(flavor, mat)
 
 
-def graph_to_dict(g: TraceGraph) -> dict:
-    return {"p": g.p, "n": g.n, "flavor": g.flavor,
-            "edges": [[[v, k], [w, l]] for (v, k), (w, l) in g.edges]}
+def dumps_graph(g: TraceGraph) -> str:
+    return _dumps({"p": g.p, "n": g.n, "flavor": g.flavor,
+                   "edges": [[[v, k], [w, l]] for (v, k), (w, l) in g.edges]})
 
 
-def graph_from_dict(d: dict) -> TraceGraph:
+def loads_graph(s: str) -> TraceGraph:
+    d = json.loads(s)
     try:
         p, n, flavor, edges = d["p"], d["n"], d["flavor"], d["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph object must have p/n/flavor/edges: missing {exc}")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, n)):
+        raise ValueError(f"p and n must be integers, got p={p!r} n={n!r}")
     try:
         norm = tuple(((int(v), int(k)), (int(w), int(l)))
                      for (v, k), (w, l) in edges)
     except (TypeError, ValueError):
         raise ValueError("edges must be pairs of [vertex, position] pairs")
     return TraceGraph(p, n, flavor, norm)
-
-
-def dumps_tensor(t: CanonicalTensor) -> str:
-    return _dumps(tensor_to_dict(t))
-
-
-def loads_tensor(s: str) -> CanonicalTensor:
-    return tensor_from_dict(json.loads(s))
-
-
-def dumps_matrix(g: GroupElement) -> str:
-    return _dumps(matrix_to_dict(g))
-
-
-def loads_matrix(s: str) -> GroupElement:
-    return matrix_from_dict(json.loads(s))
-
-
-def dumps_graph(g: TraceGraph) -> str:
-    return _dumps(graph_to_dict(g))
-
-
-def loads_graph(s: str) -> TraceGraph:
-    return graph_from_dict(json.loads(s))
-
-
-def save_tensor(t: CanonicalTensor, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_tensor(t) + "\n")
-
-
-def load_tensors(path) -> list[CanonicalTensor]:
-    """Every tensor of an NDJSON file, one per nonblank line, in order."""
-    with open(path, encoding="utf-8") as fh:
-        return [loads_tensor(ln) for ln in fh.read().splitlines() if ln.strip()]
-
-
-def load_tensor(path) -> CanonicalTensor:
-    """The tensor of a file that holds exactly one."""
-    tensors = load_tensors(path)
-    if len(tensors) != 1:
-        raise ValueError(f"{path} holds {len(tensors)} tensors, expected exactly one")
-    return tensors[0]
-
-
-def save_matrix(g: GroupElement, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_matrix(g) + "\n")
-
-
-def load_matrix(path) -> GroupElement:
-    with open(path) as fh:
-        return loads_matrix(fh.read())
-
-
-def save_graph(g: TraceGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_graph(g) + "\n")
-
-
-def load_graph(path) -> TraceGraph:
-    with open(path) as fh:
-        return loads_graph(fh.read())

@@ -49,7 +49,6 @@ __all__ = [
     "CanonicalTensor",
     "ClassViolationError",
     "MAX_DENSE_ENTRIES",
-    "MultiIndex",
     "canonical_indices",
     "canonicalize",
     "class_count",
@@ -59,7 +58,6 @@ __all__ = [
     "frobenius_norm_sq",
     "identity_tensor",
     "is_paired",
-    "lead_component_key",
     "multiplicities",
     "multiplicity",
     "paired_half_multiplicities",
@@ -352,43 +350,6 @@ def _class_info(class_tag: str) -> _TensorClass:
         raise ValueError(f"unknown class tag {class_tag!r}") from None
 
 
-def lead_component_key(class_tag: str, p: int) -> tuple[int, ...]:
-    """Key of the leading component: the one that carries the identity
-    direction, and the only component of a real class."""
-    return _class_info(class_tag).keys(p)[0]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A validated index tuple of a cubic tensor (0-based entries)."""
-
-    indices: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        for i in self.indices:
-            if not 0 <= i < self.dim:
-                raise ValueError(f"index {i} outside [0, {self.dim})")
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-    def canonical(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-    def multiplicity(self) -> int:
-        return multiplicity(self.indices)
-
-    def is_paired(self) -> bool:
-        return is_paired(self.indices)
-
-
 @dataclass(frozen=True)
 class CanonicalTensor:
     """Immutable tensor in canonical-class storage.
@@ -464,7 +425,9 @@ class CanonicalTensor:
         tup = tuple(int(i) for i in indices)
         if len(tup) != self.p:
             raise ValueError(f"expected {self.p} indices, got {len(tup)}")
-        MultiIndex(tup, f * self.N)  # bounds check
+        for i in tup:
+            if not 0 <= i < f * self.N:
+                raise ValueError(f"index {i} outside [0, {f * self.N})")
         srt, sign = sort_with_sign(i // f for i in tup)
         pos = _class_positions(self.p, self.N)[srt]
         coeffs = [self.component(key)[pos] * (1 if sym else sign)

@@ -2,15 +2,33 @@
 
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
+from hypothesis import settings
 
+from gte.invariants import _check_compatible, _real_part, _slot_labels
 from gte.tensor import (
     CanonicalTensor,
     class_count,
     component_is_symmetric,
     multiplicities,
 )
+
+
+# Property tests run a fixed sequence of examples and keep no example
+# database, so tier-1 is deterministic.  Hypothesis still caches the
+# constants it reads from the source; that cache goes to a directory removed
+# after the run, so no .hypothesis directory is left in the checkout.
+settings.register_profile("gte", derandomize=True, deadline=None, database=None)
+settings.load_profile("gte")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="gte-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 # verdict lines recorded by the acceptance tests, printed after the run
@@ -46,3 +64,26 @@ def random_tensor(class_tag, p, N, rng):
             v[multiplicities(p, N) < math.factorial(p)] = 0.0
         comps[eps] = v
     return CanonicalTensor("selfdual", p, N, comps)
+
+
+def direct_sum(g, t):
+    """Brute-force evaluation: explicit sum over all edge-index assignments.
+
+    Exponential in the number of edges.  :func:`gte.invariants.evaluate`
+    never falls back to it; it is the oracle the contraction planner is
+    tested against.
+    """
+    dense = _check_compatible(g, t)
+    labels = _slot_labels(g)
+    dim = dense.shape[0]
+    total = 0.0 + 0.0j
+    for assign in itertools.product(range(dim), repeat=len(g.edges)):
+        term = 1.0 + 0.0j
+        for v in range(g.n):
+            term *= dense[tuple(assign[e] for e in labels[v])]
+            if term == 0.0:
+                break
+        total += term
+    if g.flavor == "real":
+        return float(_real_part(np.array(total)))
+    return total

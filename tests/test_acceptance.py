@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_tensor
+from conftest import direct_sum, random_tensor
 from gte.ensembles import EnsembleSpec, sample_batch
 from gte.groups import act_dense, flavor_for_class, haar_sample
 from gte.harness import (
@@ -30,7 +30,6 @@ from gte.harness import (
 from gte.invariants import (
     TraceGraph,
     bouquet_graph,
-    direct_sum,
     enumerate_rank2,
     evaluate,
     melon_graph,

@@ -13,13 +13,7 @@ import gte.tensor
 from gte.cli import run
 from gte.groups import GroupElement, act, haar_sample
 from gte.invariants import bouquet_graph, evaluate, melon_graph
-from gte.serialize import (
-    dumps_graph,
-    load_tensor,
-    loads_tensor,
-    save_matrix,
-    save_tensor,
-)
+from gte.serialize import dumps_graph, dumps_matrix, load_tensors, loads_tensor
 from gte.tensor import identity_tensor
 
 
@@ -29,12 +23,14 @@ def _identity_file(tmp_path, p, N):
     return path
 
 
-def test_identity_command_writes_the_right_entries(tmp_path):
+def test_identity_command_writes_the_right_entries(tmp_path, capsys):
     path = _identity_file(tmp_path, 4, 2)
-    t = load_tensor(path)
+    (t,) = load_tensors(path)
     assert t.entry((0, 0, 1, 1)) == pytest.approx(1.0 / 6.0)
     assert t.entry((0, 0, 0, 0)) == 1.0
     assert t.entry((0, 0, 0, 1)) == 0.0
+    assert run(["identity", "--p", "4", "--dim", "2"]) == 0
+    assert capsys.readouterr().out == Path(path).read_text()
 
 
 def test_melon_invariant_single_value(tmp_path, capsys):
@@ -86,10 +82,10 @@ def test_act_with_fixed_matrix_matches_library(tmp_path, capsys):
     tpath = str(tmp_path / "t.ndjson")
     assert run(["sample", "--kind", "gote", "--p", "3", "--dim", "2",
                 "--seed", "3", "--out", tpath]) == 0
-    t = load_tensor(tpath)
+    (t,) = load_tensors(tpath)
     g = haar_sample("orthogonal", 2, np.random.default_rng(44))
     mpath = str(tmp_path / "g.json")
-    save_matrix(g, mpath)
+    Path(mpath).write_text(dumps_matrix(g) + "\n")
     assert run(["act", "--tensor", tpath, "--matrix", mpath]) == 0
     got = loads_tensor(capsys.readouterr().out.strip())
     want = act(g, t)
@@ -177,6 +173,66 @@ def test_invariant_from_graph_file(tmp_path, capsys):
     tpath = _identity_file(tmp_path, 4, 2)
     assert run(["invariant", "--graph", gpath, "--tensor", tpath]) == 0
     assert capsys.readouterr().out == "2.3333333333333335\n"
+
+
+@pytest.mark.parametrize("field,value", [("p", "x"), ("p", 2.0), ("n", "2"), ("n", False)])
+def test_non_integer_graph_order_or_size_is_an_input_error(tmp_path, capsys, field, value):
+    d = json.loads(dumps_graph(melon_graph(2)))
+    d[field] = value
+    gpath = str(tmp_path / "g.json")
+    Path(gpath).write_text(json.dumps(d) + "\n")
+    tpath = _identity_file(tmp_path, 2, 2)
+    assert run(["graphs", "--check", gpath]) == 2
+    assert run(["invariant", "--graph", gpath, "--tensor", tpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"gte: bad graph file {gpath}: line 1: p and n must be "
+                            f"integers, got p={d['p']!r} n={d['n']!r}\n"
+                            f"gte: bad graph file {gpath}: p and n must be "
+                            f"integers, got p={d['p']!r} n={d['n']!r}\n")
+
+
+_INPUT_ERRORS = [
+    (["act", "--haar", "--seed", "1", "--tensor", "{missing}"],
+     "gte: cannot read tensor file {missing}: No such file or directory\n"),
+    (["invariant", "--melon", "--tensor", "{junk}"],
+     "gte: bad tensor file {junk}: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)\n"),
+    (["invariant", "--melon", "--tensor", "{empty}"], "gte: bad tensor file {empty}: no tensors\n"),
+    (["act", "--tensor", "{tensor}", "--matrix", "{missing}"],
+     "gte: cannot read matrix file {missing}: No such file or directory\n"),
+    (["act", "--tensor", "{tensor}", "--matrix", "{junk}"],
+     "gte: bad matrix file {junk}: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)\n"),
+    (["act", "--tensor", "{tensor}", "--matrix", "{tensor}"],
+     "gte: bad matrix file {tensor}: matrix object must have flavor/N/rows: "
+     "missing 'flavor'\n"),
+    (["invariant", "--tensor", "{tensor}", "--graph", "{missing}"],
+     "gte: cannot read graph file {missing}: No such file or directory\n"),
+    (["invariant", "--tensor", "{tensor}", "--graph", "{family}"],
+     "gte: bad graph file {family}: Extra data: line 2 column 1 (char 118)\n"),
+    (["graphs", "--check", "{missing}"],
+     "gte: cannot read graph file {missing}: No such file or directory\n"),
+    (["graphs", "--check", "{empty}"], "gte: bad graph file {empty}: no graphs\n"),
+    (["graphs", "--check", "{tensor}"],
+     "gte: bad graph file {tensor}: line 1: graph object must have p/n/flavor/edges: "
+     "missing 'n'\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", _INPUT_ERRORS,
+                         ids=[f"{a[0]}-{a[-1][1:-1]}" for a, _ in _INPUT_ERRORS])
+def test_unreadable_and_malformed_input_files_are_named(tmp_path, capsys, argv, err):
+    paths = {"missing": str(tmp_path / "missing.json"), "junk": str(tmp_path / "junk.json"),
+             "empty": str(tmp_path / "empty.json"), "family": str(tmp_path / "family.json"),
+             "tensor": _identity_file(tmp_path, 2, 2)}
+    Path(paths["junk"]).write_text("{not json}\n")
+    Path(paths["empty"]).write_text("\n")
+    assert run(["graphs", "--rank2", "--p", "4", "--out", paths["family"]]) == 0
+    assert run([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err.format(**paths)
 
 
 def test_invariant_rejects_garbage_tensor_file(tmp_path, capsys):

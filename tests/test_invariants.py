@@ -5,12 +5,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import random_tensor
+from conftest import direct_sum, random_tensor
 from gte.groups import act_dense, flavor_for_class, haar_sample
 from gte.invariants import (
     TraceGraph,
     bouquet_graph,
-    direct_sum,
     enumerate_rank2,
     evaluate,
     melon_graph,

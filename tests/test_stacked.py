@@ -11,7 +11,7 @@ oracle.
 import numpy as np
 import pytest
 
-from conftest import random_tensor
+from conftest import direct_sum, random_tensor
 from gte.ensembles import EnsembleSpec, _canonical_values, _read_normals, sample
 from gte.groups import (
     act_dense,
@@ -25,7 +25,6 @@ from gte.groups import (
 from gte.invariants import (
     TraceGraph,
     bouquet_graph,
-    direct_sum,
     enumerate_rank2,
     evaluate,
     melon_graph,

@@ -1,6 +1,7 @@
 """Canonical storage, multiplicities, dense forms, class projections."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from gte.tensor import (
     CanonicalTensor,
     ClassViolationError,
     MAX_DENSE_ENTRIES,
-    MultiIndex,
     QUATERNION_UNITS,
     canonical_indices,
     canonicalize,
@@ -34,7 +34,7 @@ from gte.tensor import (
     _dense_tables,
 )
 from gte.ensembles import EnsembleSpec
-from gte.serialize import tensor_from_dict
+from gte.serialize import loads_tensor
 
 
 # -- combinatorics ---------------------------------------------------------
@@ -139,15 +139,19 @@ def test_oversized_configurations_are_refused_before_allocating():
         CanonicalTensor("sym", 3, 10**6, {})
     # 4^31 self-dual component keys would be built before any other check
     with pytest.raises(ValueError, match="above the limit"):
-        tensor_from_dict({"class": "selfdual", "p": 62, "N": 1, "entries": []})
+        loads_tensor(json.dumps({"class": "selfdual", "p": 62, "N": 1, "entries": []}))
 
 
-def test_multiindex_bounds():
-    MultiIndex((0, 1), 2)
-    with pytest.raises(ValueError):
-        MultiIndex((0, 2), 2)
-    with pytest.raises(ValueError):
-        MultiIndex((-1, 0), 2)
+@pytest.mark.parametrize("class_tag,p,N,D", [
+    ("sym", 2, 2, 2), ("antisym", 3, 3, 3), ("herm", 2, 2, 2),
+    ("selfdual", 2, 2, 4),  # dense in dimension 2N
+])
+def test_entry_refuses_out_of_range_indices(class_tag, p, N, D):
+    t = random_tensor(class_tag, p, N, np.random.default_rng(0))
+    t.entry((D - 1,) * p)
+    for bad in (D, -1):
+        with pytest.raises(ValueError, match=rf"index {bad} outside \[0, {D}\)"):
+            t.entry((0,) * (p - 1) + (bad,))
 
 
 # -- storage semantics -----------------------------------------------------
