@@ -18,8 +18,6 @@ from .tensor import (  # noqa: F401
     flatten_isometry,
     frobenius_norm_sq,
     identity_tensor,
-    is_paired,
-    multiplicity,
     unflatten_isometry,
 )
 from .groups import (  # noqa: F401

@@ -30,7 +30,6 @@ from .tensor import (
     frobenius_norm_sq,
     identity_tensor,
     multiplicities,
-    paired_mask,
     shifted_by_identity,
     _class_info,
     _repeated_mask,
@@ -159,12 +158,10 @@ def expected_frobenius_sq(spec: EnsembleSpec) -> float:
     """
     p, N = spec.p, spec.N
     info = _class_info(spec.class_tag)
-    gam = multiplicities(p, N)
     K = class_count(p, N)
     D = int(np.sum(~_repeated_mask(p, N)))
     var_unit = spec.gamma * p / _C[spec.kind]   # Gamma * variance
-    mean_sq = spec.beta**2 * float(np.sum(
-        np.where(paired_mask(p, N), 1.0 / np.where(gam > 0, gam, 1.0), 0.0)))
+    mean_sq = spec.beta**2 * float(np.sum(identity_tensor(p, N).values))
     # antisymmetric components live only on the all-distinct classes
     n_sym = sum(info.components(p).values())
     n_anti = len(info.components(p)) - n_sym

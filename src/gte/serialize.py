@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+def _ints(xs) -> bool:
+    """True when every item is a JSON integer: not a float, not a bool."""
+    return {int}.issuperset(map(type, xs))
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "), allow_nan=False)
 
@@ -80,7 +85,7 @@ def loads_tensor(s: str) -> CanonicalTensor:
         raise ValueError(f"tensor object must have class/p/N/entries: missing {exc}")
     if tag not in CLASS_TAGS:
         raise ValueError(f"unknown tensor class {tag!r}")
-    if not (isinstance(p, int) and isinstance(N, int) and p >= 1 and N >= 1):
+    if not (_ints((p, N)) and p >= 1 and N >= 1):
         raise ValueError(f"p and N must be positive integers, got p={p!r} N={N!r}")
     info = _class_info(tag)
     info.check_shape(p, N, f"{tag} tensors")
@@ -90,6 +95,8 @@ def loads_tensor(s: str) -> CanonicalTensor:
     data = {} if info.sparse else {key: np.zeros(K) for key in keys}
 
     for e in raw_entries:
+        if not _ints(e["idx"]):
+            raise ValueError(f"idx {e['idx']} must hold integers")
         idx = tuple(i - 1 for i in e["idx"])
         if idx not in pos:
             if tuple(sorted(idx)) in pos:
@@ -108,7 +115,7 @@ def loads_tensor(s: str) -> CanonicalTensor:
         if im != 0.0:
             raise ValueError("self-dual components are real; drop the 'im' field")
         eps = tuple(e.get("eps", ()))
-        if eps not in keys:
+        if eps not in keys or not _ints(eps):
             raise ValueError(f"eps must be a length-{len(keys[0])} tuple over "
                              f"0..{len(info.units) - 1}, got {eps}")
         data.setdefault(eps, np.zeros(K))[j] = re
@@ -135,6 +142,8 @@ def loads_matrix(s: str) -> GroupElement:
         raise ValueError(f"matrix object must have flavor/N/rows: missing {exc}")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
+    if not _ints((N,)):
+        raise ValueError(f"N must be an integer, got N={N!r}")
     mat = np.array([[complex(a, b) for a, b in row] for row in rows])
     size = 2 * N if flavor == "symplectic" else N
     if mat.shape != (size, size):
@@ -155,11 +164,13 @@ def loads_graph(s: str) -> TraceGraph:
         p, n, flavor, edges = d["p"], d["n"], d["flavor"], d["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph object must have p/n/flavor/edges: missing {exc}")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, n)):
+    if not _ints((p, n)):
         raise ValueError(f"p and n must be integers, got p={p!r} n={n!r}")
     try:
-        norm = tuple(((int(v), int(k)), (int(w), int(l)))
-                     for (v, k), (w, l) in edges)
+        norm = tuple(((v, k), (w, l)) for (v, k), (w, l) in edges)
+        ok = _ints(x for edge in norm for slot in edge for x in slot)
     except (TypeError, ValueError):
-        raise ValueError("edges must be pairs of [vertex, position] pairs")
+        ok = False
+    if not ok:
+        raise ValueError("edges must be pairs of [vertex, position] integer pairs")
     return TraceGraph(p, n, flavor, norm)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -57,9 +56,7 @@ __all__ = [
     "flatten_isometry",
     "frobenius_norm_sq",
     "identity_tensor",
-    "is_paired",
     "multiplicities",
-    "multiplicity",
     "paired_half_multiplicities",
     "paired_mask",
     "shifted_by_identity",
@@ -93,27 +90,6 @@ class ClassViolationError(ValueError):
         self.pair = pair
 
 
-def multiplicity(indices: Iterable[int]) -> int:
-    """Number of distinct permutations of an index tuple, p! / prod(c_j!)."""
-    tup = tuple(indices)
-    out = math.factorial(len(tup))
-    for c in Counter(tup).values():
-        out //= math.factorial(c)
-    return out
-
-
-def is_paired(indices: Iterable[int]) -> bool:
-    """True when the tuple is a permutation of (j1, j1, ..., j_{p/2}, j_{p/2}).
-
-    Equivalently, every index value occurs an even number of times; always
-    False for odd order.
-    """
-    tup = tuple(indices)
-    if len(tup) % 2:
-        return False
-    return all(c % 2 == 0 for c in Counter(tup).values())
-
-
 def sort_with_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """Sorted tuple and the sign of the sorting permutation (0 on repeats)."""
     tup = tuple(indices)
@@ -136,19 +112,35 @@ MAX_DENSE_ENTRIES = 1 << 24
 
 
 def _check_dense_size(p: int, N: int, dim_factor: int = 1) -> None:
-    """Raise ValueError when ``(dim_factor * N)**p`` exceeds MAX_DENSE_ENTRIES."""
+    """Raise ValueError when ``(dim_factor * N)**p`` exceeds MAX_DENSE_ENTRIES
+    or p exceeds 63: a numpy array has at most 64 axes, and the stacked
+    kernels put a batch axis before the p legs."""
     D = dim_factor * N
     # exact below the limit; past bit_length() factors of D >= 2 it is above
     if D ** min(p, MAX_DENSE_ENTRIES.bit_length()) > MAX_DENSE_ENTRIES:
         raise ValueError(f"p={p}, N={N} needs a dense array of {D}^{p} entries, "
                          f"above the limit of {MAX_DENSE_ENTRIES}")
+    if p > 63:
+        raise ValueError(f"p={p} is above 63: a numpy array has at most 64 axes, "
+                         "and a stack of tensors needs one more than its p legs")
+
+
+@lru_cache(maxsize=None)
+def _canonical_rows(p: int, N: int) -> np.ndarray:
+    """The (K, p) table whose row k is canonical tuple k: the non-decreasing
+    index tuples in lexicographic order (read-only).  ``canonical_indices``
+    and the per-class vectors below are derived from it."""
+    _check_dense_size(p, N)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(N), p))
+    K = class_count(p, N)
+    return _read_only(np.fromiter(flat, np.min_scalar_type(N - 1), K * p).reshape(K, p))
 
 
 @lru_cache(maxsize=None)
 def canonical_indices(p: int, N: int) -> tuple[tuple[int, ...], ...]:
     """All non-decreasing index tuples of length p over range(N), lex order."""
-    _check_dense_size(p, N)
-    return tuple(itertools.combinations_with_replacement(range(N), p))
+    return tuple(map(tuple, _canonical_rows(p, N).tolist()))
 
 
 def class_count(p: int, N: int) -> int:
@@ -163,27 +155,45 @@ def _class_positions(p: int, N: int) -> Mapping[tuple[int, ...], int]:
     )
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _permutation_counts(rows: np.ndarray) -> np.ndarray:
+    """Per row of a table of sorted tuples, its number of distinct
+    permutations, len! / prod(run length!).
+
+    A running multinomial: after column j it holds that count for the first
+    j + 1 columns, so every division is exact, and no intermediate value
+    exceeds 64 * N**p <= 2**30 under the size guard.
+    """
+    out = np.ones(len(rows), dtype=np.int64)
+    run = np.ones(len(rows), dtype=np.int64)
+    for j in range(1, rows.shape[1]):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        out = out * (j + 1) // run
+    return out
+
+
 @lru_cache(maxsize=None)
 def multiplicities(p: int, N: int) -> np.ndarray:
     """Vector of class multiplicities in canonical order (read-only)."""
-    out = np.array([multiplicity(m) for m in canonical_indices(p, N)], dtype=float)
-    out.setflags(write=False)
-    return out
+    return _read_only(_permutation_counts(_canonical_rows(p, N)).astype(float))
 
 
 @lru_cache(maxsize=None)
 def paired_mask(p: int, N: int) -> np.ndarray:
-    """Boolean vector marking the paired canonical classes (read-only)."""
-    out = np.array([is_paired(m) for m in canonical_indices(p, N)])
-    out.setflags(write=False)
-    return out
+    """Boolean vector marking the paired canonical classes, those whose
+    tuple is a permutation of (j1, j1, ..., j_{p/2}, j_{p/2}) (read-only)."""
+    rows = _canonical_rows(p, N)
+    return _read_only((p % 2 == 0) & (rows[:, :-1:2] == rows[:, 1::2]).all(axis=1))
 
 
 @lru_cache(maxsize=None)
 def _repeated_mask(p: int, N: int) -> np.ndarray:
-    out = np.array([len(set(m)) < len(m) for m in canonical_indices(p, N)])
-    out.setflags(write=False)
-    return out
+    rows = _canonical_rows(p, N)
+    return _read_only((rows[:, 1:] == rows[:, :-1]).any(axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -195,20 +205,8 @@ def paired_half_multiplicities(p: int, N: int) -> np.ndarray:
     class as (i_1, i_1, ..., i_{p/2}, i_{p/2}), which is what a trace over
     repeated index pairs sums.
     """
-    vals = []
-    for m in canonical_indices(p, N):
-        if is_paired(m):
-            half = tuple(
-                itertools.chain.from_iterable(
-                    [j] * (c // 2) for j, c in sorted(Counter(m).items())
-                )
-            )
-            vals.append(multiplicity(half))
-        else:
-            vals.append(0)
-    out = np.array(vals, dtype=float)
-    out.setflags(write=False)
-    return out
+    half = _permutation_counts(_canonical_rows(p, N)[:, 0::2])
+    return _read_only(np.where(paired_mask(p, N), half, 0).astype(float))
 
 
 @lru_cache(maxsize=None)
@@ -294,9 +292,7 @@ class _TensorClass:
     @lru_cache(maxsize=None)
     def antisymmetric_rows(self, p: int) -> np.ndarray:
         """Boolean vector over the components: which are antisymmetric."""
-        out = ~np.fromiter(self.components(p).values(), dtype=bool)
-        out.setflags(write=False)
-        return out
+        return _read_only(~np.fromiter(self.components(p).values(), dtype=bool))
 
     @lru_cache(maxsize=None)
     def dense_units(self, p: int) -> np.ndarray:
@@ -307,9 +303,7 @@ class _TensorClass:
             for k in key:
                 u = np.multiply.outer(u, self.units[k])
             rows.append(u.reshape(-1))
-        out = np.array(rows)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.array(rows))
 
     def norm_sq(self, p: int) -> float:
         """Squared Hilbert-Schmidt norm of every dense unit product."""
@@ -469,9 +463,7 @@ class CanonicalTensor:
 
 
 def _zero_vector(K: int) -> np.ndarray:
-    out = np.zeros(K)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.zeros(K))
 
 
 def zeros(class_tag: str, p: int, N: int) -> CanonicalTensor:

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 from hypothesis import settings
@@ -41,6 +42,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def multiplicity(indices):
+    """Number of distinct permutations of an index tuple, p! / prod(c_j!).
+
+    The per-tuple oracle for :func:`gte.tensor.multiplicities`.
+    """
+    tup = tuple(indices)
+    out = math.factorial(len(tup))
+    for c in Counter(tup).values():
+        out //= math.factorial(c)
+    return out
+
+
+def is_paired(indices):
+    """True when the tuple is a permutation of (j1, j1, ..., j_{p/2}, j_{p/2}).
+
+    Equivalently, every index value occurs an even number of times; always
+    False for odd order.  The per-tuple oracle for
+    :func:`gte.tensor.paired_mask`.
+    """
+    tup = tuple(indices)
+    if len(tup) % 2:
+        return False
+    return all(c % 2 == 0 for c in Counter(tup).values())
 
 
 def random_tensor(class_tag, p, N, rng):

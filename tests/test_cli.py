@@ -235,6 +235,38 @@ def test_unreadable_and_malformed_input_files_are_named(tmp_path, capsys, argv, 
     assert captured.err == err.format(**paths)
 
 
+_MISTYPED_TENSORS = {
+    "bool-p-N": {"class": "sym", "p": True, "N": True, "entries": [{"idx": [1], "re": 1.0}]},
+    "bool-float-idx": {"class": "sym", "p": 2, "N": 2,
+                       "entries": [{"idx": [True, 1.0], "re": 1.0}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_TENSORS))
+def test_mistyped_tensor_fields_are_input_errors(tmp_path, capsys, case):
+    path = str(tmp_path / "t.ndjson")
+    Path(path).write_text(json.dumps(_MISTYPED_TENSORS[case]) + "\n")
+    assert run(["act", "--haar", "--seed", "1", "--tensor", path]) == 2
+    assert run(["invariant", "--melon", "--tensor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert all(ln.startswith(f"gte: bad tensor file {path}: ") for ln in lines)
+
+
+def test_graph_check_refuses_fractional_edge_slots(tmp_path, capsys):
+    d = json.loads(dumps_graph(melon_graph(2)))
+    d["edges"][0][0] = [0.9, 1.7]
+    path = str(tmp_path / "g.json")
+    Path(path).write_text(json.dumps(d) + "\n")
+    assert run(["graphs", "--check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"gte: bad graph file {path}: line 1: edges must be pairs "
+                            "of [vertex, position] integer pairs\n")
+
+
 def test_invariant_rejects_garbage_tensor_file(tmp_path, capsys):
     path = str(tmp_path / "junk.ndjson")
     with open(path, "w") as fh:
@@ -275,6 +307,18 @@ def test_size_guard_refuses_sample_and_act(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("above the limit") == 3
     assert not (tmp_path / "refused.ndjson").exists()
+
+
+@pytest.mark.parametrize("p", ["64", str(10**9)])
+def test_sample_refuses_orders_above_63(tmp_path, capsys, p):
+    out = tmp_path / "refused.ndjson"
+    assert run(["sample", "--kind", "gote", "--p", p, "--dim", "1",
+                "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"gte: p={p} is above 63: a numpy array has at most 64 "
+                            "axes, and a stack of tensors needs one more than its p legs\n")
+    assert not out.exists()
 
 
 _COLD_START = """

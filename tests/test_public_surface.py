@@ -8,6 +8,7 @@ import pytest
 
 import gte
 import gte.serialize
+import gte.tensor
 
 MODULES = ["gte"] + [f"gte.{m.name}" for m in pkgutil.iter_modules(gte.__path__)]
 
@@ -17,6 +18,12 @@ def test_serialize_exports_the_string_codec():
         "dumps_graph", "dumps_matrix", "dumps_tensor", "load_tensors",
         "loads_graph", "loads_matrix", "loads_tensor",
     ]
+
+
+def test_per_tuple_helpers_are_not_exported():
+    # the class tables replace them: multiplicities(p, N)[k], paired_mask(p, N)[k]
+    for mod in (gte, gte.tensor):
+        assert not hasattr(mod, "multiplicity") and not hasattr(mod, "is_paired")
 
 
 @pytest.mark.parametrize("module", MODULES)

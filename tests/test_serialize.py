@@ -135,6 +135,42 @@ def test_graph_refuses_non_integer_order_and_size(field, value):
         loads_graph(json.dumps(d))
 
 
+def test_tensor_refuses_boolean_order_and_dimension():
+    d = {"class": "sym", "p": True, "N": True, "entries": [{"idx": [1], "re": 1.0}]}
+    with pytest.raises(ValueError, match="p and N must be positive integers"):
+        loads_tensor(json.dumps(d))
+
+
+@pytest.mark.parametrize("idx", [[True, 1.0], [1, 1.0], [True, 1]])
+def test_tensor_refuses_non_integer_indices(idx):
+    d = {"class": "sym", "p": 2, "N": 2, "entries": [{"idx": idx, "re": 1.0}]}
+    with pytest.raises(ValueError, match="must hold integers"):
+        loads_tensor(json.dumps(d))
+
+
+def test_tensor_refuses_non_integer_component_labels():
+    d = {"class": "selfdual", "p": 2, "N": 1,
+         "entries": [{"idx": [1, 1], "re": 1.0, "eps": [0.0]}]}
+    with pytest.raises(ValueError, match="eps must be"):
+        loads_tensor(json.dumps(d))
+
+
+@pytest.mark.parametrize("edge", [[0.9, 1.7], [True, 1], ["0", "1"]])
+def test_graph_refuses_non_integer_edge_slots(edge):
+    d = json.loads(dumps_graph(melon_graph(2)))
+    d["edges"][0][0] = edge
+    with pytest.raises(ValueError, match="integer pairs"):
+        loads_graph(json.dumps(d))
+
+
+@pytest.mark.parametrize("N", [True, 1.0])
+def test_matrix_refuses_non_integer_dimension(N):
+    d = json.loads(dumps_matrix(haar_sample("orthogonal", 1, np.random.default_rng(0))))
+    d["N"] = N
+    with pytest.raises(ValueError, match="N must be an integer"):
+        loads_matrix(json.dumps(d))
+
+
 def test_json_is_strict():
     # output must parse as standard JSON (no NaN/Infinity)
     rng = np.random.default_rng(4)

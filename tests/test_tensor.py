@@ -1,5 +1,6 @@
 """Canonical storage, multiplicities, dense forms, class projections."""
 
+import collections
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tensor
+from conftest import is_paired, multiplicity, random_tensor
 from gte.tensor import (
     CanonicalTensor,
     ClassViolationError,
@@ -21,9 +22,7 @@ from gte.tensor import (
     flatten_isometry,
     frobenius_norm_sq,
     identity_tensor,
-    is_paired,
     multiplicities,
-    multiplicity,
     paired_half_multiplicities,
     paired_mask,
     shifted_by_identity,
@@ -32,6 +31,7 @@ from gte.tensor import (
     zeros,
     _check_dense_size,
     _dense_tables,
+    _repeated_mask,
 )
 from gte.ensembles import EnsembleSpec
 from gte.serialize import loads_tensor
@@ -113,17 +113,66 @@ def test_dense_tables_match_the_loop(p, N):
         assert not got.flags.writeable
 
 
+def _class_tables_loop(p, N):
+    """Reference: the class vectors built one canonical tuple at a time from
+    the per-tuple oracles."""
+    idx = tuple(itertools.combinations_with_replacement(range(N), p))
+
+    def half(m):
+        # each index value kept half as often
+        return tuple(j for j, c in sorted(collections.Counter(m).items())
+                     for _ in range(c // 2))
+
+    return idx, [
+        np.array([multiplicity(m) for m in idx], dtype=float),
+        np.array([is_paired(m) for m in idx]),
+        np.array([len(set(m)) < len(m) for m in idx]),
+        np.array([multiplicity(half(m)) if is_paired(m) else 0 for m in idx], dtype=float),
+    ]
+
+
+@pytest.mark.parametrize("p,N", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 4),
+                                 (5, 3), (6, 2), (6, 5), (6, 8),
+                                 (1, 50), (2, 40), (12, 2), (63, 1)])
+def test_class_tables_match_the_per_tuple_oracle(p, N):
+    idx, want = _class_tables_loop(p, N)
+    assert canonical_indices(p, N) == idx
+    assert all(type(i) is int for m in canonical_indices(p, N) for i in m)
+    got = [multiplicities(p, N), paired_mask(p, N), _repeated_mask(p, N),
+           paired_half_multiplicities(p, N)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+        assert not g.flags.writeable
+
+
+def test_class_tables_closed_form_at_order_two():
+    N = 1024
+    K = class_count(2, N)
+    # class (i, i) sits after the N - a classes (a, a..N-1) of every a < i
+    diag = np.zeros(K, dtype=bool)
+    diag[[i * N - i * (i - 1) // 2 for i in range(N)]] = True
+    assert np.array_equal(multiplicities(2, N), np.where(diag, 1.0, 2.0))
+    assert np.array_equal(paired_mask(2, N), diag)
+    assert np.array_equal(_repeated_mask(2, N), diag)
+    assert np.array_equal(paired_half_multiplicities(2, N), np.where(diag, 1.0, 0.0))
+
+
 def test_dense_size_guard_is_arithmetic():
     # exact at the limit, refused one step past it, and refused at sizes
     # that could never be allocated without computing them
     _check_dense_size(24, 2)
     _check_dense_size(12, 2, dim_factor=2)
     _check_dense_size(1, MAX_DENSE_ENTRIES)
-    _check_dense_size(10**9, 1)
+    _check_dense_size(63, 1)
     for args in [(25, 2), (13, 2, 2), (1, MAX_DENSE_ENTRIES + 1), (10**9, 2),
                  (2, 10**40)]:
         with pytest.raises(ValueError, match="above the limit"):
             _check_dense_size(*args)
+    # one dense entry at N = 1, but a stack of order-p tensors has p + 1 axes
+    for p in (64, 10**9):
+        with pytest.raises(ValueError, match=f"p={p} is above 63"):
+            _check_dense_size(p, 1)
 
 
 def test_oversized_configurations_are_refused_before_allocating():
@@ -140,6 +189,19 @@ def test_oversized_configurations_are_refused_before_allocating():
     # 4^31 self-dual component keys would be built before any other check
     with pytest.raises(ValueError, match="above the limit"):
         loads_tensor(json.dumps({"class": "selfdual", "p": 62, "N": 1, "entries": []}))
+
+
+@pytest.mark.parametrize("p", [64, 10**9])
+def test_orders_above_63_are_refused_at_dimension_one(p):
+    # (1)^p = 1 dense entry, but numpy cannot hold the p + 1 axes of a stack
+    with pytest.raises(ValueError, match=f"p={p} is above 63"):
+        EnsembleSpec("GOTE", p, 1)
+    with pytest.raises(ValueError, match=f"p={p} is above 63"):
+        EnsembleSpec("GUTE", p, 1)
+    with pytest.raises(ValueError, match=f"p={p} is above 63"):
+        CanonicalTensor("sym", p, 1, {})
+    with pytest.raises(ValueError, match=f"p={p} is above 63"):
+        loads_tensor(json.dumps({"class": "sym", "p": p, "N": 1, "entries": []}))
 
 
 @pytest.mark.parametrize("class_tag,p,N,D", [
