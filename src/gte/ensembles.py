@@ -87,7 +87,8 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> CanonicalTensor:
     vector per component, symmetric first, then by quaternion label), so a
     given generator state always produces the same tensor.
     """
-    return _tensors(spec, _read_normals(spec, rng)[None])[0]
+    values = _canonical_values(spec, _read_normals(spec, rng)[None])[0]
+    return CanonicalTensor(spec.class_tag, spec.p, spec.N, values)
 
 
 def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
@@ -100,9 +101,10 @@ def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    return _tensors(spec, np.stack([
+    values = _canonical_values(spec, np.stack([
         _read_normals(spec, np.random.default_rng(np.random.SeedSequence((spec.seed, i))))
         for i in range(count)]))
+    return [CanonicalTensor(spec.class_tag, spec.p, spec.N, v) for v in values]
 
 
 def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -114,23 +116,17 @@ def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _canonical_values(spec: EnsembleSpec, normals: np.ndarray) -> np.ndarray:
     """(B, C, K) standard normals to the canonical values of B draws: scaled
-    by the class sigmas, shifted by beta*I on the lead component, and zero
+    by the class sigmas, shifted by beta*I on the first component, and zero
     on the repeated-index classes of the antisymmetric components."""
     p, N = spec.p, spec.N
     info = _class_info(spec.class_tag)
     out = np.sqrt(spec.gamma * p / (_C[spec.kind] * multiplicities(p, N))) * normals
-    if spec.beta and info.lead(p) is not None:
+    if spec.beta and not info.antisymmetric:
         out[:, 0] += spec.beta * identity_tensor(p, N).values
     anti = info.antisymmetric_rows(p)
     if anti.any():
         out[:, anti[:, None] & _repeated_mask(p, N)] = 0.0
     return out
-
-
-def _tensors(spec: EnsembleSpec, normals: np.ndarray) -> list[CanonicalTensor]:
-    keys = _class_info(spec.class_tag).keys(spec.p)
-    return [CanonicalTensor(spec.class_tag, spec.p, spec.N, dict(zip(keys, vals)))
-            for vals in _canonical_values(spec, normals)]
 
 
 def log_density_unnormalized(t: CanonicalTensor, spec: EnsembleSpec) -> float:
@@ -163,6 +159,6 @@ def expected_frobenius_sq(spec: EnsembleSpec) -> float:
     var_unit = spec.gamma * p / _C[spec.kind]   # Gamma * variance
     mean_sq = spec.beta**2 * float(np.sum(identity_tensor(p, N).values))
     # antisymmetric components live only on the all-distinct classes
-    n_sym = sum(info.components(p).values())
-    n_anti = len(info.components(p)) - n_sym
+    n_anti = int(info.antisymmetric_rows(p).sum())
+    n_sym = len(info.keys(p)) - n_anti
     return info.norm_sq(p) * (var_unit * (n_sym * K + n_anti * D) + mean_sq)

@@ -47,7 +47,6 @@ from .tensor import (
     _class_info,
     _densify_stack,
     _repeated_mask,
-    _stack_components,
 )
 
 __all__ = [
@@ -148,7 +147,7 @@ def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: 
         else:
             t = sampler(rng)
             tag, p, N = t.class_tag, t.p, t.N
-            rows.append(_stack_components(t))
+            rows.append(t.array)
         if size is None:
             info = _class_info(tag)
             flavor = flavor or info.group

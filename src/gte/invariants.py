@@ -329,15 +329,29 @@ def _evaluate_stack(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
     return _contract(g, dense)
 
 
+def _renumbered_einsum(*args) -> np.ndarray:
+    """``np.einsum`` in its interleaved form, this call's labels renumbered to
+    0..k-1 in increasing order: numpy takes labels below 52 only."""
+    *ops, out = args
+    used = sorted(set(out).union(*ops[1::2]))
+    if len(used) > 52:
+        raise ValueError(f"a contraction step needs {len(used)} index labels, "
+                         "above the 52 that numpy's einsum supports")
+    new = {label: k for k, label in enumerate(used)}
+    ops[1::2] = [[new[label] for label in labels] for labels in ops[1::2]]
+    return np.einsum(*ops, [new[label] for label in out])
+
+
 def _contract(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
     """The planned contraction over a leading batch label."""
     labels = _slot_labels(g)
-    batch = len(g.edges)            # a label no edge uses
+    batch = len(g.edges)            # a label no edge uses, the largest
+    einsum = np.einsum if batch < 52 else _renumbered_einsum  # renumbering costs per call
     nodes: dict[int, tuple[list[int], np.ndarray]] = {}
     for v in range(g.n):
         lab = labels[v]
         keep = [e for e in lab if lab.count(e) == 1]
-        arr = np.einsum(dense, [batch, *lab], [batch, *keep]) if len(keep) < g.p else dense
+        arr = einsum(dense, [batch, *lab], [batch, *keep]) if len(keep) < g.p else dense
         nodes[v] = (keep, arr)
     _, steps = _plan(g, dense.shape[1])
     nid = g.n
@@ -345,7 +359,7 @@ def _contract(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
         la, ta = nodes.pop(a)
         lb, tb = nodes.pop(b)
         out = sorted(set(la) ^ set(lb))
-        nodes[nid] = (out, np.einsum(ta, [batch, *la], tb, [batch, *lb], [batch, *out]))
+        nodes[nid] = (out, einsum(ta, [batch, *la], tb, [batch, *lb], [batch, *out]))
         nid += 1
     (_, val), = nodes.values()
     return _real_part(val) if g.flavor == "real" else np.asarray(val, dtype=complex)
@@ -373,8 +387,7 @@ def paired_trace(t: CanonicalTensor) -> float:
     2x2 units trace to 2*delta_{e0}, giving a 2^{p/2} factor on Q^(0)).
     """
     info = _class_info(t.class_tag)
-    lead = info.lead(t.p)
-    if t.p % 2 or lead is None:
+    if t.p % 2 or info.antisymmetric:
         return 0.0
-    vals = t.component(lead) * info.norm_sq(t.p)
+    vals = t.array[0] * info.norm_sq(t.p)
     return float(np.sum(paired_half_multiplicities(t.p, t.N) * vals))

@@ -48,19 +48,23 @@ def _ints(xs) -> bool:
     return {int}.issuperset(map(type, xs))
 
 
+def _numbers(xs) -> bool:
+    """True when every item is a JSON number: an integer or a float, not a bool."""
+    return {int, float}.issuperset(map(type, xs))
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "), allow_nan=False)
 
 
 def dumps_tensor(t: CanonicalTensor) -> str:
     info = _class_info(t.class_tag)
-    keys = info.keys(t.p)
     entries = []
     classes = canonical_indices(t.p, t.N)
     if info.dim_factor == 1:
         # scalar units: the components are the real and imaginary parts
-        re = t.component(keys[0]).tolist()
-        im = t.component(keys[1]).tolist() if len(keys) > 1 else [0.0] * len(re)
+        re = t.array[0].tolist()
+        im = t.array[1].tolist() if len(t.array) > 1 else [0.0] * len(re)
         for m, x, y in zip(classes, re, im):
             if x == 0.0 and y == 0.0:
                 continue
@@ -69,8 +73,9 @@ def dumps_tensor(t: CanonicalTensor) -> str:
                 e["im"] = y
             entries.append(e)
     else:
-        for eps in sorted(t.data):
-            for m, x in zip(classes, t.data[eps].tolist()):
+        # storage order is the sorted order of the labels
+        for eps, row in zip(info.keys(t.p), t.array.tolist()):
+            for m, x in zip(classes, row):
                 if x != 0.0:
                     entries.append({"idx": [i + 1 for i in m], "re": x, "eps": list(eps)})
     return _dumps({"class": t.class_tag, "p": t.p, "N": t.N, "entries": entries})
@@ -89,37 +94,39 @@ def loads_tensor(s: str) -> CanonicalTensor:
         raise ValueError(f"p and N must be positive integers, got p={p!r} N={N!r}")
     info = _class_info(tag)
     info.check_shape(p, N, f"{tag} tensors")
-    keys = info.keys(p)
+    rows = info.rows(p)
     pos = _class_positions(p, N)
-    K = len(pos)
-    data = {} if info.sparse else {key: np.zeros(K) for key in keys}
-
+    arr = np.zeros((len(rows), len(pos)))
+    if not isinstance(raw_entries, list):
+        raise ValueError(f"entries must be a list, got {raw_entries!r}")
     for e in raw_entries:
-        if not _ints(e["idx"]):
-            raise ValueError(f"idx {e['idx']} must hold integers")
-        idx = tuple(i - 1 for i in e["idx"])
+        one_based = e.get("idx") if isinstance(e, dict) else None
+        if not (isinstance(one_based, list) and _ints(one_based)):
+            raise ValueError(f"entry {e!r}: idx must hold integers")
+        idx = tuple(i - 1 for i in one_based)
         if idx not in pos:
             if tuple(sorted(idx)) in pos:
-                raise ValueError(f"idx {e['idx']} is not sorted non-decreasingly")
-            raise ValueError(f"idx {e['idx']} out of range for p={p}, N={N}")
+                raise ValueError(f"idx {one_based} is not sorted non-decreasingly")
+            raise ValueError(f"idx {one_based} out of range for p={p}, N={N}")
         j = pos[idx]
-        re = float(e.get("re", 0.0))
-        im = float(e.get("im", 0.0))
+        re, im = e.get("re", 0.0), e.get("im", 0.0)
+        if not _numbers((re, im)):
+            raise ValueError(f"re and im must be numbers, got re={re!r} im={im!r}")
         if info.dim_factor == 1:
-            if len(keys) == 1 and im != 0.0:
+            if len(rows) == 1 and im != 0.0:
                 raise ValueError(f"{tag} tensors are real; drop the 'im' field")
-            data[keys[0]][j] = re
-            if len(keys) > 1:
-                data[keys[1]][j] = im
+            arr[0, j] = re
+            if len(rows) > 1:
+                arr[1, j] = im
             continue
         if im != 0.0:
             raise ValueError("self-dual components are real; drop the 'im' field")
-        eps = tuple(e.get("eps", ()))
-        if eps not in keys or not _ints(eps):
-            raise ValueError(f"eps must be a length-{len(keys[0])} tuple over "
-                             f"0..{len(info.units) - 1}, got {eps}")
-        data.setdefault(eps, np.zeros(K))[j] = re
-    return CanonicalTensor(tag, p, N, data)
+        eps = e.get("eps", [])
+        if not (isinstance(eps, list) and _ints(eps) and tuple(eps) in rows):
+            raise ValueError(f"eps must be a length-{info.slots(p)} list over "
+                             f"0..{len(info.units) - 1}, got {eps!r}")
+        arr[rows[tuple(eps)], j] = re
+    return CanonicalTensor(tag, p, N, arr)
 
 
 def load_tensors(path) -> list[CanonicalTensor]:
@@ -144,6 +151,12 @@ def loads_matrix(s: str) -> GroupElement:
         raise ValueError(f"unknown flavor {flavor!r}")
     if not _ints((N,)):
         raise ValueError(f"N must be an integer, got N={N!r}")
+    try:
+        ok = all(len(cell) == 2 and _numbers(cell) for row in rows for cell in row)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError("rows must be lists of [re, im] number pairs")
     mat = np.array([[complex(a, b) for a, b in row] for row in rows])
     size = 2 * N if flavor == "symplectic" else N
     if mat.shape != (size, size):

@@ -5,24 +5,20 @@ Storage model
 A cubic tensor of order ``p`` and dimension ``N`` assigns a value to each of
 the ``N**p`` index tuples.  Every symmetry class handled here is determined
 by its values on the *canonical* tuples, the non-decreasing ones, of which
-there are ``binom(N + p - 1, p)``.  The supported classes are
+there are K = ``binom(N + p - 1, p)``.  A tensor holds one (C, K) array: one
+row of K values per component, C components per class:
 
-``sym``
-    one real payload; the dense entry at any tuple equals the entry at the
-    sorted tuple.
-``antisym``
-    one real payload; the dense entry is the entry at the sorted tuple times
-    the sign of the sorting permutation, and vanishes whenever an index
-    repeats.
+``sym`` / ``antisym``
+    one real component; the dense entry is the entry at the sorted tuple,
+    times the sign of the sorting permutation for ``antisym`` (so it
+    vanishes whenever an index repeats).
 ``herm``
-    a symmetric payload (real part) plus an antisymmetric payload
-    (imaginary part); ``p`` must be even.
+    a symmetric real part and an antisymmetric imaginary part; ``p`` even.
 ``selfdual``
-    a map from length ``p/2`` tuples over ``{0, 1, 2, 3}`` to real payloads,
-    one per product of quaternion basis matrices; the component payload is
-    symmetric when the tuple has an even number of nonzero slots and
-    antisymmetric otherwise.  ``p % 4 == 2`` is required and the dense form
-    lives in dimension ``2N``.
+    one real component per length ``p/2`` tuple over ``{0, 1, 2, 3}``, the
+    coefficient of a product of quaternion basis matrices, symmetric when
+    the tuple has an even number of nonzero slots and antisymmetric
+    otherwise.  ``p % 4 == 2``, and the dense form lives in dimension ``2N``.
 
 Each class is described once, by a :class:`_TensorClass` record in
 ``_CLASSES``; every class-dependent rule in the package reads that record.
@@ -36,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -111,10 +107,10 @@ def sort_with_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-def _check_dense_size(p: int, N: int, dim_factor: int = 1) -> None:
+def _check_dense_size(p: int, N: int, dim_factor: int = 1, units: bool = False) -> None:
     """Raise ValueError when ``(dim_factor * N)**p`` exceeds MAX_DENSE_ENTRIES
-    or p exceeds 63: a numpy array has at most 64 axes, and the stacked
-    kernels put a batch axis before the p legs."""
+    or the stacked kernels would need more than numpy's 64 axes: a batch
+    axis before the p legs, and with ``units`` each leg split in two."""
     D = dim_factor * N
     # exact below the limit; past bit_length() factors of D >= 2 it is above
     if D ** min(p, MAX_DENSE_ENTRIES.bit_length()) > MAX_DENSE_ENTRIES:
@@ -123,6 +119,9 @@ def _check_dense_size(p: int, N: int, dim_factor: int = 1) -> None:
     if p > 63:
         raise ValueError(f"p={p} is above 63: a numpy array has at most 64 axes, "
                          "and a stack of tensors needs one more than its p legs")
+    if units and p > 31:
+        raise ValueError(f"p={p} is above 31 for a class with unit factors: its kernels "
+                         "split each leg in two, so a stack needs 2p + 1 of numpy's 64 axes")
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +256,8 @@ class _TensorClass:
     of the units its key names; a real class (``units`` None) has the one
     key ``()`` and no unit factor.  A component is symmetric when its key
     has an even number of nonzero labels, the other way round for a class
-    whose payload is ``antisymmetric``.
+    whose payload is ``antisymmetric``.  In a class that is not
+    antisymmetric, the first component carries the identity direction.
     """
 
     tag: str
@@ -270,7 +270,6 @@ class _TensorClass:
     graph: str                  # flavor of the trace graphs it evaluates on
     melon: str                  # matching convention of its melon graph
     ensemble: str | None        # Gaussian ensemble drawing this class
-    sparse: bool                # absent components read as zero
 
     @lru_cache(maxsize=None)
     def components(self, p: int) -> Mapping[tuple[int, ...], bool]:
@@ -285,9 +284,10 @@ class _TensorClass:
     def keys(self, p: int) -> tuple[tuple[int, ...], ...]:
         return tuple(self.components(p))
 
-    def lead(self, p: int) -> tuple[int, ...] | None:
-        """Key of the component that carries the identity direction."""
-        return None if self.antisymmetric else self.keys(p)[0]
+    @lru_cache(maxsize=None)
+    def rows(self, p: int) -> Mapping[tuple[int, ...], int]:
+        """Row of each component key in a tensor's (C, K) array."""
+        return MappingProxyType({key: c for c, key in enumerate(self.keys(p))})
 
     @lru_cache(maxsize=None)
     def antisymmetric_rows(self, p: int) -> np.ndarray:
@@ -296,7 +296,15 @@ class _TensorClass:
 
     @lru_cache(maxsize=None)
     def dense_units(self, p: int) -> np.ndarray:
-        """Row c is the flattened Kronecker product of the units of key c."""
+        """Row c is the flattened Kronecker product of the units of key c.
+
+        The table has len(units)**slots(p) * dim_factor**p entries (4**p for
+        the self-dual class), refused above MAX_DENSE_ENTRIES before any is
+        built."""
+        C, width = len(self.units) ** self.slots(p), self.dim_factor ** p
+        if C * width > MAX_DENSE_ENTRIES:
+            raise ValueError(f"{self.tag} p={p} needs a unit table of {C} x {width} "
+                             f"entries, above the limit of {MAX_DENSE_ENTRIES}")
         rows = []
         for key in self.keys(p):
             u = np.ones((), dtype=complex)
@@ -314,24 +322,24 @@ class _TensorClass:
         m, r = self.order
         if p % m != r:
             raise ValueError(f"{what} need p = {r} mod {m}, got p = {p}")
-        _check_dense_size(p, N, self.dim_factor)
+        _check_dense_size(p, N, self.dim_factor, self.units is not None)
 
 
 _CLASSES = {c.tag: c for c in (
     _TensorClass("sym", units=None, dim_factor=1, slots=lambda p: 0,
                  antisymmetric=False, order=(1, 0), group="orthogonal",
-                 graph="real", melon="real", ensemble="GOTE", sparse=False),
+                 graph="real", melon="real", ensemble="GOTE"),
     _TensorClass("antisym", units=None, dim_factor=1, slots=lambda p: 0,
                  antisymmetric=True, order=(1, 0), group="orthogonal",
-                 graph="real", melon="real", ensemble=None, sparse=False),
+                 graph="real", melon="real", ensemble=None),
     _TensorClass("herm", units=np.array([1.0, 1.0j]), dim_factor=1,
                  slots=lambda p: 1, antisymmetric=False, order=(2, 0),
                  group="unitary", graph="parity", melon="hermitian",
-                 ensemble="GUTE", sparse=False),
+                 ensemble="GUTE"),
     _TensorClass("selfdual", units=QUATERNION_UNITS, dim_factor=2,
                  slots=lambda p: p // 2, antisymmetric=False, order=(4, 2),
                  group="symplectic", graph="parity", melon="selfdual",
-                 ensemble="GSTE", sparse=True),
+                 ensemble="GSTE"),
 )}
 
 CLASS_TAGS = tuple(_CLASSES)
@@ -344,72 +352,75 @@ def _class_info(class_tag: str) -> _TensorClass:
         raise ValueError(f"unknown class tag {class_tag!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CanonicalTensor:
     """Immutable tensor in canonical-class storage.
 
-    ``data`` maps component keys to read-only float vectors of length
-    ``class_count(p, N)`` in canonical order.  Component keys are ``()`` for
-    the real classes, ``(0,)`` / ``(1,)`` for the hermitian real and
-    imaginary parts, and quaternion labels for the self-dual class.  Missing
-    self-dual components are zero.
+    ``array`` is a read-only (C, K) float array: row c is the component with
+    key ``_class_info(class_tag).keys(p)[c]``, column k canonical class k.
+    Every component is stored, the zero ones too.  Keys are ``()`` for the
+    real classes, ``(0,)`` / ``(1,)`` for the hermitian real and imaginary
+    parts, and quaternion labels for the self-dual class.  ``data`` is given
+    as the (C, K) array or as a mapping from keys to length-K vectors, where
+    a missing component is zero; either is copied.
     """
 
     class_tag: str
     p: int
     N: int
-    data: Mapping[tuple[int, ...], np.ndarray]
+    array: np.ndarray
 
-    def __post_init__(self):
-        info = _class_info(self.class_tag)
-        if self.p < 1 or self.N < 1:
+    def __init__(self, class_tag: str, p: int, N: int,
+                 data: Mapping[tuple[int, ...], np.ndarray] | np.ndarray):
+        info = _class_info(class_tag)
+        if p < 1 or N < 1:
             raise ValueError("p and N must be at least 1")
-        info.check_shape(self.p, self.N, f"{self.class_tag} tensors")
-        K = class_count(self.p, self.N)
-        symmetric = info.components(self.p)
-        clean: dict[tuple[int, ...], np.ndarray] = {}
-        for key, vals in dict(self.data).items():
-            key = tuple(int(k) for k in key)
-            if key not in symmetric:
-                raise ValueError(f"component {key!r} invalid for {self.class_tag}")
-            arr = np.asarray(vals, dtype=float).copy()
-            if arr.shape != (K,):
-                raise ValueError(f"component {key!r} must have shape ({K},)")
-            if not symmetric[key]:
-                bad = _repeated_mask(self.p, self.N) & (arr != 0.0)
-                if bad.any():
-                    m = canonical_indices(self.p, self.N)[int(np.argmax(bad))]
-                    raise ValueError(
-                        "antisymmetric component has a nonzero value on the "
-                        f"repeated-index class {tuple(i + 1 for i in m)} (1-based)"
-                    )
-            arr.setflags(write=False)
-            clean[key] = arr
-        if not info.sparse:
-            for key in symmetric:
-                clean.setdefault(key, _zero_vector(K))
-        object.__setattr__(self, "data", MappingProxyType(clean))
+        info.check_shape(p, N, f"{class_tag} tensors")
+        rows, K = info.rows(p), class_count(p, N)
+        if isinstance(data, np.ndarray):
+            arr = np.array(data, dtype=float)
+            if arr.shape != (len(rows), K):
+                raise ValueError(f"{class_tag} values must have shape "
+                                 f"({len(rows)}, {K}), got {arr.shape}")
+        else:
+            arr = np.zeros((len(rows), K))
+            for key, vals in dict(data).items():
+                key = tuple(int(k) for k in key)
+                if key not in rows:
+                    raise ValueError(f"component {key!r} invalid for {class_tag}")
+                vals = np.asarray(vals, dtype=float)
+                if vals.shape != (K,):
+                    raise ValueError(f"component {key!r} must have shape ({K},)")
+                arr[rows[key]] = vals
+        bad = np.argwhere(_repeated_mask(p, N) & (arr[info.antisymmetric_rows(p)] != 0.0))
+        if len(bad):
+            m = canonical_indices(p, N)[bad[0, 1]]
+            raise ValueError("antisymmetric component has a nonzero value on the "
+                             f"repeated-index class {tuple(i + 1 for i in m)} (1-based)")
+        for name, value in (("class_tag", class_tag), ("p", p), ("N", N),
+                            ("array", _read_only(arr))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def data(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Read-only mapping from each component key to its row of ``array``."""
+        return MappingProxyType(dict(zip(_class_info(self.class_tag).keys(self.p), self.array)))
 
     # -- convenience ----------------------------------------------------
 
-    @property
-    def K(self) -> int:
-        return class_count(self.p, self.N)
-
     def component(self, key: tuple[int, ...]) -> np.ndarray:
-        """Component vector for ``key``; zeros when the component is absent."""
+        """Component vector for ``key``, a row of ``array``."""
         key = tuple(int(k) for k in key)
-        if key not in _class_info(self.class_tag).components(self.p):
+        if key not in self.data:
             raise KeyError(f"component {key!r} invalid for {self.class_tag}")
-        got = self.data.get(key)
-        return got if got is not None else _zero_vector(self.K)
+        return self.data[key]
 
     @property
     def values(self) -> np.ndarray:
         """Payload of a single-component (sym or antisym) tensor."""
         if _class_info(self.class_tag).units is not None:
             raise AttributeError("values is defined for sym and antisym only")
-        return self.data[()]
+        return self.array[0]
 
     def entry(self, indices: Iterable[int]):
         """Dense entry at an index tuple (length p; 2N-dimensional for
@@ -424,46 +435,24 @@ class CanonicalTensor:
                 raise ValueError(f"index {i} outside [0, {f * self.N})")
         srt, sign = sort_with_sign(i // f for i in tup)
         pos = _class_positions(self.p, self.N)[srt]
-        coeffs = [self.component(key)[pos] * (1 if sym else sign)
-                  for key, sym in info.components(self.p).items()]
+        coeffs = self.array[:, pos] * np.where(info.antisymmetric_rows(self.p), sign, 1)
         if info.units is None:
             return float(coeffs[0])
         iota = int(np.ravel_multi_index(tuple(i % f for i in tup), (f,) * self.p))
         return complex(np.dot(coeffs, info.dense_units(self.p)[:, iota]))
 
-    def map_components(self, fn) -> "CanonicalTensor":
-        return CanonicalTensor(
-            self.class_tag,
-            self.p,
-            self.N,
-            {key: fn(vals) for key, vals in self.data.items()},
-        )
-
     def __add__(self, other: "CanonicalTensor") -> "CanonicalTensor":
-        self._check_compatible(other)
-        keys = set(self.data) | set(other.data)
-        return CanonicalTensor(
-            self.class_tag,
-            self.p,
-            self.N,
-            {k: self.component(k) + other.component(k) for k in keys},
-        )
+        if (self.class_tag, self.p, self.N) != (other.class_tag, other.p, other.N):
+            raise ValueError("tensors differ in class, order, or dimension")
+        return CanonicalTensor(self.class_tag, self.p, self.N, self.array + other.array)
 
     def __sub__(self, other: "CanonicalTensor") -> "CanonicalTensor":
         return self + other * (-1.0)
 
     def __mul__(self, scalar: float) -> "CanonicalTensor":
-        return self.map_components(lambda v: v * float(scalar))
+        return CanonicalTensor(self.class_tag, self.p, self.N, self.array * float(scalar))
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other: "CanonicalTensor") -> None:
-        if (self.class_tag, self.p, self.N) != (other.class_tag, other.p, other.N):
-            raise ValueError("tensors differ in class, order, or dimension")
-
-
-def _zero_vector(K: int) -> np.ndarray:
-    return _read_only(np.zeros(K))
 
 
 def zeros(class_tag: str, p: int, N: int) -> CanonicalTensor:
@@ -485,16 +474,14 @@ def identity_tensor(p: int, N: int) -> CanonicalTensor:
 
 
 def shifted_by_identity(t: CanonicalTensor, coeff: float) -> CanonicalTensor:
-    """Add ``coeff`` times the identity tensor to the lead component."""
+    """Add ``coeff`` times the identity tensor to the first component."""
     coeff = float(coeff)
     if coeff == 0.0:
         return t
-    key = _class_info(t.class_tag).lead(t.p)
-    if key is None:
+    if _class_info(t.class_tag).antisymmetric:
         raise ValueError("antisymmetric tensors admit no identity shift")
-    ident = identity_tensor(t.p, t.N).values
-    shifted = dict(t.data)
-    shifted[key] = t.component(key) + coeff * ident
+    shifted = t.array.copy()
+    shifted[0] += coeff * identity_tensor(t.p, t.N).values
     return CanonicalTensor(t.class_tag, t.p, t.N, shifted)
 
 
@@ -508,13 +495,7 @@ def densify(t: CanonicalTensor) -> np.ndarray:
     ``2 * i + iota`` with ``i`` the component index and ``iota`` the row or
     column of the quaternion factor.
     """
-    return _densify_stack(_class_info(t.class_tag), t.p, t.N, _stack_components(t)[None])[0]
-
-
-def _stack_components(t: CanonicalTensor) -> np.ndarray:
-    """The (C, K) array of a tensor's components in storage order."""
-    zero = _zero_vector(t.K)
-    return np.stack([t.data.get(key, zero) for key in _class_info(t.class_tag).keys(t.p)])
+    return _densify_stack(_class_info(t.class_tag), t.p, t.N, t.array[None])[0]
 
 
 def _densify_stack(info: _TensorClass, p: int, N: int, vals: np.ndarray) -> np.ndarray:
@@ -548,7 +529,7 @@ def frobenius_norm_sq(t) -> float:
         return float(np.sum(np.abs(t) ** 2))
     gam = multiplicities(t.p, t.N)
     scale = _class_info(t.class_tag).norm_sq(t.p)
-    return float(scale * sum(np.sum(gam * vals**2) for vals in t.data.values()))
+    return float(scale * sum(np.sum(gam * vals**2) for vals in t.array))
 
 
 def flatten_isometry(t: CanonicalTensor) -> np.ndarray:
@@ -560,7 +541,7 @@ def flatten_isometry(t: CanonicalTensor) -> np.ndarray:
     """
     if t.class_tag != "sym":
         raise ValueError("flatten_isometry expects a real-symmetric tensor")
-    return np.sqrt(multiplicities(t.p, t.N)) * t.data[()]
+    return np.sqrt(multiplicities(t.p, t.N)) * t.values
 
 
 def unflatten_isometry(vec: np.ndarray, p: int, N: int) -> CanonicalTensor:
@@ -600,6 +581,7 @@ def canonicalize(
     if D % f:
         raise ValueError(f"{class_tag} dense arrays need a dimension divisible by {f}")
     N = D // f
+    info.check_shape(p, N, f"{class_tag} tensors")
     if info.units is None:
         if np.iscomplexobj(dense):
             raise ValueError("real classes expect real dense arrays")
@@ -615,18 +597,14 @@ def canonicalize(
         parts = (split @ info.dense_units(p).conj().T / info.norm_sq(p)).T.real
     cls, sgn, rep = _dense_tables(p, N)
     gam = multiplicities(p, N)
-    data = {}
-    for (key, symmetric), part in zip(info.components(p).items(), parts):
-        if project:
-            weights = part if symmetric else part * sgn
-            vals = np.bincount(cls, weights=weights, minlength=len(gam)) / gam
-        else:
-            vals = part[rep]
-        if not symmetric:
-            vals = np.where(_repeated_mask(p, N), 0.0, vals)
-        if not info.sparse or np.any(vals != 0.0):
-            data[key] = vals
-    out = CanonicalTensor(class_tag, p, N, data)
+    anti = info.antisymmetric_rows(p)
+    if project:
+        vals = np.array([np.bincount(cls, weights=part * sgn if a else part, minlength=len(gam))
+                         for a, part in zip(anti, parts)]) / gam
+    else:
+        vals = parts[:, rep]
+    vals[anti[:, None] & _repeated_mask(p, N)] = 0.0
+    out = CanonicalTensor(class_tag, p, N, vals)
     if not project:
         _check_class(dense, densify(out), f, atol)
     return out

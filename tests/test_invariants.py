@@ -232,6 +232,25 @@ def test_evaluate_accepts_dense_arrays():
         frobenius_norm_sq(t), rel=1e-12)
 
 
+def test_graphs_with_more_than_52_edges_evaluate():
+    # four disjoint melons: 56 edges, more labels than numpy's einsum takes
+    # in one call, but each contraction step uses at most 15 of them
+    p = 14
+    t = random_tensor("sym", p, 2, np.random.default_rng(9))
+    edges = tuple(((2 * k, i), (2 * k + 1, i)) for k in range(4) for i in range(1, p + 1))
+    melon = evaluate(melon_graph(p), t)
+    assert evaluate(TraceGraph(p, 8, "real", edges), t) == pytest.approx(melon**4, rel=1e-12)
+
+
+def test_contraction_steps_above_52_labels_are_refused():
+    rng = np.random.default_rng(10)
+    t = random_tensor("sym", 51, 1, rng)
+    assert evaluate(melon_graph(51), t) == pytest.approx(frobenius_norm_sq(t), rel=1e-12)
+    # the melon at p = 52 contracts 52 legs over a batch label in one step
+    with pytest.raises(ValueError, match="53 index labels"):
+        evaluate(melon_graph(52), random_tensor("sym", 52, 1, rng))
+
+
 def test_plan_reuse_across_tensors():
     g = melon_graph(4)
     rng = np.random.default_rng(7)

@@ -62,9 +62,20 @@ def test_tensor_dict_validation():
         {"class": "sym", "p": 2, "N": 2, "entries": [{"idx": [1, 1], "re": 0.0, "im": 2.0}]},
         {"class": "selfdual", "p": 2, "N": 2,
          "entries": [{"idx": [1, 1], "re": 1.0, "eps": [7]}]},
+        {"class": "sym", "p": 2, "N": 2, "entries": [{"re": 1.0}]},  # no idx
+        {"class": "sym", "p": 2, "N": 2, "entries": [5]},  # entry not an object
+        {"class": "sym", "p": 2, "N": 2, "entries": 5},
+        {"class": "sym", "p": 2, "N": 2, "entries": [{"idx": [1, 1], "re": [1]}]},
+        {"class": "sym", "p": 2, "N": 2, "entries": [{"idx": 5, "re": 1.0}]},
+        {"class": "selfdual", "p": 2, "N": 2,
+         "entries": [{"idx": [1, 1], "re": 1.0, "eps": 5}]},
     ]:
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError):
             loads_tensor(json.dumps(bad))
+    for cell in ([1.0], [1.0, 0.0, 0.0], 1.0, "10", ["1", "0"]):
+        bad = {"flavor": "orthogonal", "N": 1, "rows": [[cell]]}
+        with pytest.raises(ValueError, match="rows"):
+            loads_matrix(json.dumps(bad))
 
 
 def test_tensor_file_round_trip(tmp_path):

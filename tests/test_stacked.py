@@ -31,7 +31,7 @@ from gte.invariants import (
     _evaluate_stack,
     _plan,
 )
-from gte.tensor import _class_info, _densify_stack, _stack_components, densify
+from gte.tensor import _class_info, _densify_stack, densify
 
 CONFIGS = [("GOTE", 3, 2), ("GOTE", 4, 3), ("GUTE", 2, 3), ("GUTE", 4, 2),
            ("GSTE", 2, 2), ("GSTE", 6, 1)]
@@ -64,7 +64,7 @@ def test_stacked_draw_densify_haar_act_evaluate_match_single(kind, p, N):
 
     vals = _canonical_values(spec, np.stack(normals))
     for row, (t, _) in zip(vals, singles):
-        assert np.array_equal(row, _stack_components(t))
+        assert np.array_equal(row, t.array)
 
     dense = _densify_stack(info, p, N, vals)
     for d, (t, _) in zip(dense, singles):
@@ -96,7 +96,7 @@ def test_stacked_draw_densify_haar_act_evaluate_match_single(kind, p, N):
 def test_stacked_densify_matches_single_for_every_class(tag, p, N):
     rng = np.random.default_rng(5)
     ts = [random_tensor(tag, p, N, rng) for _ in range(B)]
-    dense = _densify_stack(_class_info(tag), p, N, np.stack([_stack_components(t) for t in ts]))
+    dense = _densify_stack(_class_info(tag), p, N, np.stack([t.array for t in ts]))
     for d, t in zip(dense, ts):
         assert np.array_equal(d, densify(t))
 

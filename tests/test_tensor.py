@@ -10,6 +10,7 @@ import pytest
 
 from conftest import is_paired, multiplicity, random_tensor
 from gte.tensor import (
+    CLASS_TAGS,
     CanonicalTensor,
     ClassViolationError,
     MAX_DENSE_ENTRIES,
@@ -30,11 +31,13 @@ from gte.tensor import (
     unflatten_isometry,
     zeros,
     _check_dense_size,
+    _class_info,
     _dense_tables,
     _repeated_mask,
 )
-from gte.ensembles import EnsembleSpec
-from gte.serialize import loads_tensor
+from gte.cli import run
+from gte.ensembles import EnsembleSpec, sample_batch
+from gte.serialize import dumps_tensor, loads_tensor
 
 
 # -- combinatorics ---------------------------------------------------------
@@ -173,6 +176,10 @@ def test_dense_size_guard_is_arithmetic():
     for p in (64, 10**9):
         with pytest.raises(ValueError, match=f"p={p} is above 63"):
             _check_dense_size(p, 1)
+    # a class with unit factors splits each leg in two: 2p + 1 axes
+    _check_dense_size(31, 1, units=True)
+    with pytest.raises(ValueError, match="p=32 is above 31"):
+        _check_dense_size(32, 1, units=True)
 
 
 def test_oversized_configurations_are_refused_before_allocating():
@@ -202,6 +209,29 @@ def test_orders_above_63_are_refused_at_dimension_one(p):
         CanonicalTensor("sym", p, 1, {})
     with pytest.raises(ValueError, match=f"p={p} is above 63"):
         loads_tensor(json.dumps({"class": "sym", "p": p, "N": 1, "entries": []}))
+
+
+def test_unit_classes_refuse_orders_above_31_at_dimension_one(capsys):
+    # the hermitian kernels reshape a stack to 2p + 1 axes
+    EnsembleSpec("GUTE", 30, 1)
+    with pytest.raises(ValueError, match="p=32 is above 31"):
+        EnsembleSpec("GUTE", 32, 1)
+    with pytest.raises(ValueError, match="p=32 is above 31"):
+        CanonicalTensor("herm", 32, 1, {})
+    assert run(["sample", "--kind", "gute", "--p", "32", "--dim", "1", "--seed", "0"]) == 2
+    assert "p=32 is above 31" in capsys.readouterr().err
+
+
+def test_selfdual_unit_table_is_refused_before_it_is_built(capsys):
+    # (2N)^p = 16 384 dense entries pass the guard, but the unit table of
+    # 4^7 components by 2^14 unit entries would hold 4^14
+    EnsembleSpec("GSTE", 14, 1)
+    with pytest.raises(ValueError, match="unit table of 16384 x 16384"):
+        densify(zeros("selfdual", 14, 1))
+    args = ["verify", "--suite", "invariance", "--kind", "gste", "--p", "14", "--dim", "1",
+            "--samples", "100", "--seed", "0"]
+    assert run(args) == 2
+    assert "above the limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("class_tag,p,N,D", [
@@ -272,10 +302,46 @@ def test_arithmetic():
         a + random_tensor("sym", 2, 2, rng)
 
 
-def test_data_is_read_only():
-    t = zeros("sym", 2, 2)
-    with pytest.raises((ValueError, TypeError)):
-        t.values[0] = 1.0
+SHAPES = {"sym": (2, 2), "antisym": (3, 3), "herm": (2, 2), "selfdual": (2, 2)}
+SOURCES = ("zeros", "sample_batch", "loads_tensor", "canonicalize")
+
+
+def _tensor_from(source, tag):
+    p, N = SHAPES[tag]
+    rng = np.random.default_rng(0)
+    if source == "zeros":
+        return zeros(tag, p, N)
+    if source == "sample_batch":
+        return sample_batch(EnsembleSpec(_class_info(tag).ensemble, p, N, beta=0.5), 1)[0]
+    if source == "loads_tensor":
+        return loads_tensor(dumps_tensor(random_tensor(tag, p, N, rng)))
+    return canonicalize(densify(random_tensor(tag, p, N, rng)), tag)
+
+
+@pytest.mark.parametrize("tag,source", [
+    (tag, source) for tag in CLASS_TAGS for source in SOURCES
+    if source != "sample_batch" or _class_info(tag).ensemble is not None])
+def test_data_is_read_only(tag, source):
+    t = _tensor_from(source, tag)
+    keys = _class_info(tag).keys(t.p)
+    # every component is stored, in storage order, as a row of one array
+    assert list(t.data) == list(keys)
+    assert t.array.shape == (len(keys), class_count(t.p, t.N))
+    for c, key in enumerate(keys):
+        row = t.data[key]
+        assert row.base is t.array
+        assert np.array_equal(row, t.array[c])
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    with pytest.raises(ValueError):
+        t.array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        t.data[keys[0]] = t.array[0]
+    with pytest.raises(AttributeError):
+        t.array = np.zeros_like(t.array)
+    if _class_info(tag).units is None:
+        with pytest.raises(ValueError):
+            t.values[0] = 1.0
 
 
 # -- identity tensor -------------------------------------------------------
