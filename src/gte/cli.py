@@ -18,10 +18,8 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import __version__, FORMAT_VERSION
-from .ensembles import EnsembleSpec, sample_batch
+from .ensembles import EnsembleSpec, sample_batch, _stream
 from .groups import act, flavor_for_class, haar_sample
 from .harness import (
     derivative_identity_test,
@@ -181,8 +179,7 @@ def _cmd_act(args) -> int:
         if g_fixed is not None:
             g = g_fixed
         else:
-            rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
-            g = haar_sample(flavor_for_class(t.class_tag), t.N, rng)
+            g = haar_sample(flavor_for_class(t.class_tag), t.N, _stream(args.seed, i))
         out_lines.append(dumps_tensor(act(g, t)))
     _write("".join(ln + "\n" for ln in out_lines), args.out)
     return 0

@@ -102,9 +102,14 @@ def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
     if count == 0:
         return []
     values = _canonical_values(spec, np.stack([
-        _read_normals(spec, np.random.default_rng(np.random.SeedSequence((spec.seed, i))))
-        for i in range(count)]))
+        _read_normals(spec, _stream(spec.seed, i)) for i in range(count)]))
     return [CanonicalTensor(spec.class_tag, spec.p, spec.N, v) for v in values]
+
+
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """The generator of draw ``index`` under base seed ``seed``, seeded by
+    ``SeedSequence((seed, index))``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
 def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:

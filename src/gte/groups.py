@@ -77,7 +77,12 @@ class GroupElement:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        mat = np.array(self.matrix, dtype=float if self.flavor == "orthogonal" else complex)
+        mat = self.matrix
+        if self.flavor == "orthogonal" and np.iscomplexobj(mat):
+            if np.any(np.imag(mat)):
+                raise ValueError("orthogonal matrices must be real, got a nonzero imaginary part")
+            mat = np.real(mat)
+        mat = np.array(mat, dtype=float if self.flavor == "orthogonal" else complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("group elements must be square matrices")
         if self.flavor == "symplectic" and mat.shape[0] % 2:
@@ -264,21 +269,22 @@ def _act_stack(flavor: str, mats: np.ndarray, dense: np.ndarray, p: int) -> np.n
     return dense.reshape((B,) + (dim,) * p)
 
 
-def act(g: GroupElement, t: CanonicalTensor, *, atol: float = 1e-12) -> CanonicalTensor:
+def act(g: GroupElement, t: CanonicalTensor) -> CanonicalTensor:
     """Apply a group element to a tensor of the matching class.
 
-    The result is canonicalized with the class check enabled, so an action
-    that moves the tensor out of its symmetry class surfaces as a
-    :class:`~gte.tensor.ClassViolationError` instead of silently corrupted
-    storage.  (The orthogonal action preserves its class for every p; the
-    unitary and symplectic ones are only class-preserving at p = 2, where
-    the tensors are matrices -- use :func:`act_dense` beyond that.)
+    The result goes through :func:`~gte.tensor.canonicalize` and its class
+    check, so an action that moves the tensor out of its symmetry class
+    surfaces as a :class:`~gte.tensor.ClassViolationError` instead of
+    silently corrupted storage.  (The orthogonal action preserves its class
+    for every p; the unitary and symplectic ones are only class-preserving
+    at p = 2, where the tensors are matrices -- use :func:`act_dense`
+    beyond that.)
     """
     if flavor_for_class(t.class_tag) != g.flavor:
         raise ValueError(f"flavor {g.flavor!r} does not act on class {t.class_tag!r}")
     if g.N != t.N:
         raise ValueError(f"dimension mismatch: element has N={g.N}, tensor N={t.N}")
-    return canonicalize(act_dense(g, t), t.class_tag, atol=atol)
+    return canonicalize(act_dense(g, t), t.class_tag)
 
 
 def theta_derivative(t: CanonicalTensor) -> CanonicalTensor:

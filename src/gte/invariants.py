@@ -111,6 +111,29 @@ def validate(g: TraceGraph) -> list[str]:
     return out
 
 
+#: Cross matching of each melon convention: on a two-vertex graph with r
+#: cross edges, position t of vertex 0 joins position cross(t, r) of vertex 1.
+_CROSS = {
+    "real": lambda t, r: t,
+    "hermitian": lambda t, r: t % r + 1,
+    "selfdual": lambda t, r: t + 1 if t % 2 else t - 1,
+}
+
+
+def _loops(v: int, first: int, p: int) -> list[Edge]:
+    """Self-loops at vertex v pairing positions (first+1, first+2), ..., (p-1, p)."""
+    return [((v, k), (v, k + 1)) for k in range(first + 1, p, 2)]
+
+
+def _two_vertex(p: int, r: int, convention: str) -> TraceGraph:
+    """Two vertices joined by r cross edges under ``convention``, each
+    vertex closing its other p - r positions with self-loops."""
+    cross = _CROSS[convention]
+    edges = [((0, t), (1, cross(t, r))) for t in range(1, r + 1)]
+    flavor = "real" if convention == "real" else "parity"
+    return TraceGraph(p, 2, flavor, tuple(edges + _loops(0, r, p) + _loops(1, r, p)))
+
+
 def melon_graph(p: int, flavor: str = "real") -> TraceGraph:
     """Two vertices joined by all p edges; evaluates to the squared
     Frobenius norm on tensors of the matching class.
@@ -122,19 +145,11 @@ def melon_graph(p: int, flavor: str = "real") -> TraceGraph:
     """
     if p < 1:
         raise ValueError("p must be positive")
-    if flavor == "real":
-        edges = tuple(((0, t), (1, t)) for t in range(1, p + 1))
-        return TraceGraph(p, 2, "real", edges)
-    if p % 2:
+    if flavor != "real" and p % 2:
         raise ValueError(f"{flavor} melon needs p even")
-    if flavor == "hermitian":
-        edges = tuple(((0, t), (1, t % p + 1)) for t in range(1, p + 1))
-    elif flavor == "selfdual":
-        edges = tuple(((0, 2 * t - 1), (1, 2 * t)) for t in range(1, p // 2 + 1))
-        edges += tuple(((0, 2 * t), (1, 2 * t - 1)) for t in range(1, p // 2 + 1))
-    else:
+    if flavor not in _CROSS:
         raise ValueError(f"unknown melon flavor {flavor!r}")
-    return TraceGraph(p, 2, "parity", edges)
+    return _two_vertex(p, p, flavor)
 
 
 def bouquet_graph(p: int, flavor: str = "real") -> TraceGraph:
@@ -145,8 +160,7 @@ def bouquet_graph(p: int, flavor: str = "real") -> TraceGraph:
     """
     if p < 2 or p % 2:
         raise ValueError("bouquet needs p even and positive")
-    edges = tuple(((0, 2 * t - 1), (0, 2 * t)) for t in range(1, p // 2 + 1))
-    return TraceGraph(p, 1, flavor, edges)
+    return TraceGraph(p, 1, flavor, tuple(_loops(0, 0, p)))
 
 
 def enumerate_rank2(p: int, flavor: str = "real") -> list[TraceGraph]:
@@ -158,33 +172,17 @@ def enumerate_rank2(p: int, flavor: str = "real") -> list[TraceGraph]:
     r in {p, p-2, ..., >= 1} for the real flavor.  For the parity flavor a
     counting argument forces r to be even (each vertex must pair leftover
     odd positions with leftover even ones, and exactly r/2 cross edges leave
-    from odd positions), so r in {p, p-2, ..., 2}.
+    from odd positions), so r in {p, p-2, ..., 2}; its cross edges swap the
+    positions within each pair, as in the self-dual melon.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    if flavor == "real":
-        out = []
-        for r in range(p, 0, -2):
-            edges = [((0, t), (1, t)) for t in range(1, r + 1)]
-            for v in (0, 1):
-                edges += [((v, r + 2 * s - 1), (v, r + 2 * s))
-                          for s in range(1, (p - r) // 2 + 1)]
-            out.append(TraceGraph(p, 2, "real", tuple(edges)))
-        return out
-    if flavor != "parity":
+    if flavor not in ("real", "parity"):
         raise ValueError(f"unknown graph flavor {flavor!r}")
-    if p % 2:
+    if flavor == "parity" and p % 2:
         raise ValueError("parity graphs need p even")
-    out = []
-    for r in range(p, 0, -2):
-        # r/2 edges odd(u) -> even(v) and r/2 edges even(u) -> odd(v)
-        edges = [((0, 2 * s - 1), (1, 2 * s)) for s in range(1, r // 2 + 1)]
-        edges += [((0, 2 * s), (1, 2 * s - 1)) for s in range(1, r // 2 + 1)]
-        for v in (0, 1):
-            edges += [((v, r + 2 * s - 1), (v, r + 2 * s))
-                      for s in range(1, (p - r) // 2 + 1)]
-        out.append(TraceGraph(p, 2, "parity", tuple(edges)))
-    return out
+    convention = "real" if flavor == "real" else "selfdual"
+    return [_two_vertex(p, r, convention) for r in range(p, 0, -2)]
 
 
 def _check_compatible(g: TraceGraph, t) -> np.ndarray:

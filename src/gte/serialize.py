@@ -161,8 +161,6 @@ def loads_matrix(s: str) -> GroupElement:
     size = 2 * N if flavor == "symplectic" else N
     if mat.shape != (size, size):
         raise ValueError(f"{flavor} with N={N} needs a {size}x{size} matrix, got {mat.shape}")
-    if flavor == "orthogonal":
-        mat = mat.real
     return GroupElement(flavor, mat)
 
 

@@ -106,6 +106,11 @@ def sort_with_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
 #: allocated; GOTE p=6 N=8 has 262 144 entries.
 MAX_DENSE_ENTRIES = 1 << 24
 
+#: A dense array is in its class when no entry deviates from the class
+#: reconstruction by more than this times its largest entry; the rounding
+#: a Haar action leaves is below 1e-14 of the largest entry.
+_CLASS_RTOL = 1e-12
+
 
 def _check_dense_size(p: int, N: int, dim_factor: int = 1, units: bool = False) -> None:
     """Raise ValueError when ``(dim_factor * N)**p`` exceeds MAX_DENSE_ENTRIES
@@ -352,7 +357,7 @@ def _class_info(class_tag: str) -> _TensorClass:
         raise ValueError(f"unknown class tag {class_tag!r}") from None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CanonicalTensor:
     """Immutable tensor in canonical-class storage.
 
@@ -362,7 +367,8 @@ class CanonicalTensor:
     real classes, ``(0,)`` / ``(1,)`` for the hermitian real and imaginary
     parts, and quaternion labels for the self-dual class.  ``data`` is given
     as the (C, K) array or as a mapping from keys to length-K vectors, where
-    a missing component is zero; either is copied.
+    a missing component is zero; either is copied.  Tensors compare and
+    hash by identity; compare ``array`` for equal values.
     """
 
     class_tag: str
@@ -518,15 +524,13 @@ def _densify_stack(info: _TensorClass, p: int, N: int, vals: np.ndarray) -> np.n
     return out.reshape((B,) + (N,) * p + (f,) * p).transpose(legs).reshape((B,) + (f * N,) * p)
 
 
-def frobenius_norm_sq(t) -> float:
+def frobenius_norm_sq(t: CanonicalTensor) -> float:
     """Squared Frobenius norm: sum of |entry|^2 over all dense positions.
 
     For self-dual tensors the dense form lives in dimension 2N and every
     quaternion basis matrix contributes squared Hilbert-Schmidt norm 2, so
     the component sum carries a factor 2**(p/2).
     """
-    if isinstance(t, np.ndarray):
-        return float(np.sum(np.abs(t) ** 2))
     gam = multiplicities(t.p, t.N)
     scale = _class_info(t.class_tag).norm_sq(t.p)
     return float(scale * sum(np.sum(gam * vals**2) for vals in t.array))
@@ -556,19 +560,13 @@ def unflatten_isometry(vec: np.ndarray, p: int, N: int) -> CanonicalTensor:
 # -- canonicalization ----------------------------------------------------
 
 
-def canonicalize(
-    dense: np.ndarray,
-    class_tag: str,
-    *,
-    project: bool = False,
-    atol: float = 1e-12,
-) -> CanonicalTensor:
+def canonicalize(dense: np.ndarray, class_tag: str) -> CanonicalTensor:
     """Recover canonical storage from a dense array.
 
-    Without ``project`` the array must satisfy its class symmetry within the
-    absolute tolerance; a :class:`ClassViolationError` naming the first
-    offending index pair is raised otherwise.  With ``project`` the class
-    part is taken by averaging and no check is performed.
+    The array must satisfy its class symmetry: an entry that deviates from
+    the class reconstruction by more than ``_CLASS_RTOL`` times the largest
+    entry raises a :class:`ClassViolationError` naming the worst offending
+    index pair.
     """
     info = _class_info(class_tag)
     dense = np.asarray(dense)
@@ -595,28 +593,24 @@ def canonicalize(
         legs = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
         split = dense.reshape((N, f) * p).transpose(legs).reshape(N**p, f**p)
         parts = (split @ info.dense_units(p).conj().T / info.norm_sq(p)).T.real
-    cls, sgn, rep = _dense_tables(p, N)
-    gam = multiplicities(p, N)
-    anti = info.antisymmetric_rows(p)
-    if project:
-        vals = np.array([np.bincount(cls, weights=part * sgn if a else part, minlength=len(gam))
-                         for a, part in zip(anti, parts)]) / gam
-    else:
-        vals = parts[:, rep]
-    vals[anti[:, None] & _repeated_mask(p, N)] = 0.0
+    _, _, rep = _dense_tables(p, N)
+    vals = parts[:, rep]
+    vals[info.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N)] = 0.0
     out = CanonicalTensor(class_tag, p, N, vals)
-    if not project:
-        _check_class(dense, densify(out), f, atol)
+    _check_class(dense, densify(out), f)
     return out
 
 
-def _check_class(dense: np.ndarray, recon: np.ndarray, f: int, atol: float) -> None:
-    """Raise at the worst entry where ``dense`` leaves its class part.
+def _check_class(dense: np.ndarray, recon: np.ndarray, f: int) -> None:
+    """Raise at the worst entry where ``dense`` leaves its class part by
+    more than ``_CLASS_RTOL`` times its largest entry (exactly, when every
+    entry is zero).
 
     The real and imaginary planes of a complex array in the component
     dimension (f = 1) are checked one after the other; a self-dual array
     (f = 2) is checked as a whole.
     """
+    tol = _CLASS_RTOL * np.max(np.abs(dense))
     diff = dense - recon.reshape(dense.shape)
     if f == 1 and np.iscomplexobj(diff):
         planes = (("real part: ", diff.real), ("imaginary part: ", diff.imag))
@@ -625,7 +619,7 @@ def _check_class(dense: np.ndarray, recon: np.ndarray, f: int, atol: float) -> N
     for label, plane in planes:
         dev = np.abs(plane).reshape(-1)
         worst = int(np.argmax(dev))
-        if not dev[worst] > atol:
+        if not dev[worst] > tol:
             continue
         bad = tuple(int(i) for i in np.unravel_index(worst, dense.shape))
         partner = tuple(sorted(i // f for i in bad))

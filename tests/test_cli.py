@@ -14,7 +14,7 @@ from gte.cli import run
 from gte.groups import GroupElement, act, haar_sample
 from gte.invariants import bouquet_graph, evaluate, melon_graph
 from gte.serialize import dumps_graph, dumps_matrix, load_tensors, loads_tensor
-from gte.tensor import identity_tensor
+from gte.tensor import frobenius_norm_sq, identity_tensor
 
 
 def _identity_file(tmp_path, p, N):
@@ -113,6 +113,32 @@ def test_act_refuses_class_breaking_rotation(tmp_path, capsys):
                 "--seed", "2", "--out", tpath]) == 0
     assert run(["act", "--tensor", tpath, "--haar", "--seed", "0"]) == 1
     assert "gte:" in capsys.readouterr().err
+
+
+def test_act_haar_keeps_large_gste_order_two_tensors(tmp_path, capsys):
+    # entries near 100: rounding of the symplectic action exceeds an
+    # absolute 1e-12 but stays far below 1e-12 of the largest entry
+    tpath = str(tmp_path / "g.ndjson")
+    assert run(["sample", "--kind", "gste", "--p", "2", "--dim", "30", "--gamma", "1e4",
+                "--count", "10", "--seed", "1", "--out", tpath]) == 0
+    assert run(["act", "--tensor", tpath, "--haar", "--seed", "2"]) == 0
+    rotated = [loads_tensor(ln) for ln in capsys.readouterr().out.splitlines()]
+    for t, u in zip(load_tensors(tpath), rotated, strict=True):
+        assert frobenius_norm_sq(u) == pytest.approx(frobenius_norm_sq(t), rel=1e-12)
+
+
+def test_act_refuses_orthogonal_matrix_with_imaginary_parts(tmp_path, capsys):
+    tpath = str(tmp_path / "t.ndjson")
+    assert run(["sample", "--kind", "gote", "--p", "2", "--dim", "2",
+                "--seed", "1", "--out", tpath]) == 0
+    mpath = str(tmp_path / "g.json")
+    Path(mpath).write_text(json.dumps({"flavor": "orthogonal", "N": 2,
+                                       "rows": [[[1, 0.5], [0, 0]], [[0, 0], [1, -3]]]}))
+    assert run(["act", "--tensor", tpath, "--matrix", mpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gte: bad matrix file {mpath}: ")
+    assert "imaginary" in captured.err
 
 
 def test_act_haar_requires_seed(tmp_path, capsys):

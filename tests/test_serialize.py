@@ -122,6 +122,10 @@ def test_matrix_json_structure():
     with pytest.raises((ValueError, KeyError)):
         loads_matrix(json.dumps({"flavor": "unitary", "N": 2,
                                  "rows": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}))
+    # imaginary parts of an orthogonal matrix are refused, not dropped
+    with pytest.raises(ValueError, match="imaginary"):
+        loads_matrix(json.dumps({"flavor": "orthogonal", "N": 2,
+                                 "rows": [[[1, 0.5], [0, 0]], [[0, 0], [1, -3]]]}))
 
 
 def test_graph_round_trip_and_structure():

@@ -418,10 +418,31 @@ def test_canonicalize_rejects_off_class():
     dense = rng.standard_normal((2, 2, 2))
     with pytest.raises(ClassViolationError):
         canonicalize(dense, "sym")
-    # projection is opt-in and idempotent
-    proj = canonicalize(dense, "sym", project=True)
-    again = canonicalize(densify(proj), "sym")
-    assert np.allclose(proj.values, again.values)
+
+
+def test_class_check_is_relative_to_the_largest_entry():
+    rng = np.random.default_rng(10)
+    dense = densify(random_tensor("sym", 3, 3, rng)) * 1e6
+    assert np.array_equal(densify(canonicalize(dense, "sym")), dense)
+    # one entry off by 1e-9 of the largest entry is still refused
+    bad = dense.copy()
+    bad[0, 2, 1] += 1e-9 * np.max(np.abs(dense))
+    with pytest.raises(ClassViolationError, match=r"entry at \(1, 3, 2\)"):
+        canonicalize(bad, "sym")
+    # the bound shrinks with the entries: a tiny array gets no free pass
+    tiny = np.zeros((2, 2))
+    tiny[0, 1] = 1e-300
+    with pytest.raises(ClassViolationError):
+        canonicalize(tiny, "sym")
+    assert not canonicalize(np.zeros((2, 2)), "sym").array.any()
+
+
+def test_tensors_compare_and_hash_by_identity():
+    t = zeros("sym", 2, 2)
+    assert t == t
+    assert len({t, t}) == 1
+    assert t != zeros("sym", 2, 2)
+    assert np.array_equal(t.array, zeros("sym", 2, 2).array)
 
 
 def test_canonicalize_error_mentions_one_based_indices():
