@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__, FORMAT_VERSION
-from .ensembles import EnsembleSpec, sample_batch, _stream
+from .ensembles import EnsembleSpec, sample_batch, _streams
 from .groups import act, flavor_for_class, haar_sample
 from .harness import (
     derivative_identity_test,
@@ -97,11 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a statistical verification suite")
     p.add_argument("--suite", required=True,
                    choices=["invariance", "gaussianity", "derivative", "isotropy"])
-    p.add_argument("--kind", choices=["gote", "gute", "gste"], default="gote")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--dim", type=int, default=2, metavar="N")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    # None marks a flag not given: derivative refuses these, and the other
+    # suites fill in _ENSEMBLE_DEFAULTS
+    p.add_argument("--kind", choices=["gote", "gute", "gste"])
+    p.add_argument("--p", type=int)
+    p.add_argument("--dim", type=int, metavar="N")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--gamma", type=float)
     p.add_argument("--samples", type=int, default=None,
                    help="sample count (default 5000; 100 trials for derivative)")
     p.add_argument("--seed", required=True, type=int)
@@ -174,12 +176,13 @@ def _cmd_act(args) -> int:
     g_fixed = None
     if args.matrix:
         g_fixed = _load("matrix", args.matrix, lambda path: loads_matrix(_text(path)))
+    rngs = _streams(args.seed, 0, len(tensors)) if args.haar else None
     out_lines = []
-    for i, t in enumerate(tensors):
+    for t in tensors:
         if g_fixed is not None:
             g = g_fixed
         else:
-            g = haar_sample(flavor_for_class(t.class_tag), t.N, _stream(args.seed, i))
+            g = haar_sample(flavor_for_class(t.class_tag), t.N, next(rngs))
         out_lines.append(dumps_tensor(act(g, t)))
     _write("".join(ln + "\n" for ln in out_lines), args.out)
     return 0
@@ -263,14 +266,24 @@ def _cmd_identity(args) -> int:
     return 0
 
 
+#: the ensemble ``gte verify`` tests when a flag is not given
+_ENSEMBLE_DEFAULTS = {"kind": "gote", "p": 2, "dim": 2, "beta": 0.0, "gamma": 1.0}
+
+
 def _cmd_verify(args) -> int:
     n = args.samples
+    given = [name for name in _ENSEMBLE_DEFAULTS if getattr(args, name) is not None]
     if args.suite == "derivative":
+        if given:
+            flags = ", ".join(f"--{name}" for name in given)
+            raise _UsageError(f"--suite derivative runs its fixed grid of symmetric "
+                              f"tensors (p <= 4, N <= 3) and takes no {flags}")
         report = derivative_identity_test(n_trials=n if n is not None else 100,
                                           seed=args.seed)
     else:
-        spec = EnsembleSpec(args.kind, args.p, args.dim, beta=args.beta,
-                            gamma=args.gamma, seed=args.seed)
+        ens = {**_ENSEMBLE_DEFAULTS, **{name: getattr(args, name) for name in given}}
+        spec = EnsembleSpec(ens["kind"], ens["p"], ens["dim"], beta=ens["beta"],
+                            gamma=ens["gamma"], seed=args.seed)
         n = n if n is not None else 5000
         if args.suite == "invariance":
             report = invariance_test(spec, n_samples=n, seed=args.seed)

@@ -18,6 +18,7 @@ antisymmetric parts are mean zero and live only on all-distinct classes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,7 @@ from .tensor import (
     multiplicities,
     shifted_by_identity,
     _class_info,
+    _read_only,
     _repeated_mask,
 )
 
@@ -102,14 +104,122 @@ def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
     if count == 0:
         return []
     values = _canonical_values(spec, np.stack([
-        _read_normals(spec, _stream(spec.seed, i)) for i in range(count)]))
+        _read_normals(spec, rng) for rng in _streams(spec.seed, 0, count)]))
     return [CanonicalTensor(spec.class_tag, spec.p, spec.N, v) for v in values]
+
+
+# -- seed streams ----------------------------------------------------------
+# numpy's SeedSequence hash (O'Neill, "PCG", 2014) at its default pool size
+
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+#: streams whose seed words one numpy pass of :func:`_streams` computes
+_STREAM_BLOCK = 1024
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     """The generator of draw ``index`` under base seed ``seed``, seeded by
-    ``SeedSequence((seed, index))``."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+    ``SeedSequence((seed, index))``; see :func:`_streams`."""
+    return next(_streams(seed, index, index + 1))
+
+
+def _streams(seed: int, start: int, stop: int):
+    """Yield the generator of each draw i in [start, stop) under base seed
+    ``seed``: ``default_rng(SeedSequence((seed, i)))``, bit for bit.
+
+    The seeding hash runs once per block of draws, over uint32 arrays.  No
+    block crosses a multiple of 2**32, so within one the entropy words of
+    (seed, i) differ only in the low word of i.
+    """
+    lead, seed_words = _uint32_words(seed), _seed_words_type()
+    i = start
+    while i < stop:
+        end = min(stop, i + _STREAM_BLOCK, ((i >> 32) + 1) << 32)
+        entropy = np.repeat(np.array([lead + _uint32_words(i)], dtype=np.uint32).T,
+                            end - i, axis=1)
+        entropy[len(lead)] += np.arange(end - i, dtype=np.uint32)
+        for words in _seed_state(entropy):
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
+        i = end
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The entropy words of a nonnegative integer, least significant first;
+    0 is one word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The multipliers of ``calls`` successive hashmix calls, (calls + 1, 1)
+    uint32: call k xors with row k and multiplies by row k + 1."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return _read_only(np.array(out, dtype=np.uint32)[:, None])
+
+
+def _hashmix(x: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix``, one call per row of ``consts[:-1]``."""
+    value = (x ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each column e of
+    an (L, B) uint32 entropy array, as a read-only (B, 4) uint64 array.
+
+    A port of numpy's ``mix_entropy`` and ``generate_state``.  The calls of
+    one step that hash the same word run as one array operation.
+    """
+    L, B = entropy.shape
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + max(L - _POOL, 0)))
+    pool = np.zeros((_POOL, B), dtype=np.uint32)
+    pool[:L] = entropy[:_POOL]
+    pool = _hashmix(pool, a[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        # every other pool word takes in a hash of this one
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[k:k + _POOL + 1]))
+        k += _POOL
+    # eight uint32 words from the pool read twice; words 2j and 2j + 1 are
+    # the low and high halves of uint64 word j
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
+    words = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << np.uint64(32)
+    return _read_only(np.ascontiguousarray(words.T))
+
+
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """A seed sequence holding only the four uint64 words PCG64 reads; made
+    on first use, so that ``import gte`` does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only the four uint64 words that seed PCG64 are stored")
+            return self.words
+
+    return SeedWords
 
 
 def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _C, _canonical_values, _read_normals, _stream
+from .ensembles import EnsembleSpec, _C, _canonical_values, _read_normals, _stream, _streams
 from .groups import (act_dense, givens_rotation, theta_derivative,
                      _act_stack, _check_members, _haar_matrices, _haar_normals)
 from .invariants import melon_graph, _evaluate_stack
@@ -54,7 +54,6 @@ __all__ = [
     "MIN_SAMPLES",
     "Subtest",
     "VerificationReport",
-    "constant_sampler",
     "derivative_identity_test",
     "gaussianity_independence_test",
     "invariance_test",
@@ -126,17 +125,17 @@ _AUX = 1 << 40
 
 
 def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: bool = False):
-    """Read stream i = ``_stream(seed, i)`` for each sample -- first the
-    tensor (an ensemble's normals, or a callable sampler's CanonicalTensor),
-    then with ``haar`` one Haar element's normals (``flavor`` defaults to the
-    class's group) -- and yield ``(tag, p, N, flavor, values, normals)`` in
-    chunks: (B, C, K) canonical values and (B, k, N, N) Haar normals."""
+    """Read stream i of ``_streams(seed, 0, n_samples)`` for each sample --
+    first the tensor (an ensemble's normals, or a callable sampler's
+    CanonicalTensor), then with ``haar`` one Haar element's normals
+    (``flavor`` defaults to the class's group) -- and yield ``(tag, p, N,
+    flavor, values, normals)`` in chunks: (B, C, K) canonical values and
+    (B, k, N, N) Haar normals."""
     spec = sampler if isinstance(sampler, EnsembleSpec) else None
     if spec is None and not callable(sampler):
         raise TypeError(f"sampler must be an EnsembleSpec or callable, got {type(sampler)!r}")
     rows, normals, size = [], [], None
-    for i in range(n_samples):
-        rng = _stream(seed, i)
+    for i, rng in enumerate(_streams(seed, 0, n_samples)):
         if spec is not None:
             tag, p, N = spec.class_tag, spec.p, spec.N
             rows.append(_read_normals(spec, rng))
@@ -326,9 +325,8 @@ def derivative_identity_test(n_trials: int = 100, seed: int = 0) -> Verification
         raise ValueError(f"need at least {len(configs)} trials, one per (p, N) "
                          f"configuration, got {n_trials}")
     worst = {c: 0.0 for c in configs}
-    for i in range(n_trials):
+    for i, rng in enumerate(_streams(seed, 0, n_trials)):
         p, N = configs[i % len(configs)]
-        rng = _stream(seed, i)
         t = CanonicalTensor("sym", p, N, {(): rng.standard_normal(class_count(p, N))})
         analytic = densify(theta_derivative(t))
         up = act_dense(givens_rotation(h, N, "orthogonal"), t)
@@ -403,15 +401,6 @@ def uniform_entry_sampler(p: int, N: int):
 
     def draw(rng: np.random.Generator) -> CanonicalTensor:
         return CanonicalTensor("sym", p, N, {(): rng.uniform(0.0, 1.0, K)})
-
-    return draw
-
-
-def constant_sampler(t: CanonicalTensor):
-    """Always returns the same tensor (degenerate law)."""
-
-    def draw(rng: np.random.Generator) -> CanonicalTensor:
-        return t
 
     return draw
 

@@ -126,6 +126,12 @@ def loads_tensor(s: str) -> CanonicalTensor:
             raise ValueError(f"eps must be a length-{info.slots(p)} list over "
                              f"0..{len(info.units) - 1}, got {eps!r}")
         arr[rows[tuple(eps)], j] = re
+    if not np.isfinite(arr).all():
+        c, j = np.argwhere(~np.isfinite(arr))[0]
+        field = "im" if info.dim_factor == 1 and c == 1 else "re"
+        idx = [i + 1 for i in canonical_indices(p, N)[j]]
+        raise ValueError(f"entry with idx {idx}: {field} must be finite, "
+                         f"got {float(arr[c, j])!r}")
     return CanonicalTensor(tag, p, N, arr)
 
 

@@ -398,6 +398,8 @@ class CanonicalTensor:
                 if vals.shape != (K,):
                     raise ValueError(f"component {key!r} must have shape ({K},)")
                 arr[rows[key]] = vals
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{class_tag} values must be finite")
         bad = np.argwhere(_repeated_mask(p, N) & (arr[info.antisymmetric_rows(p)] != 0.0))
         if len(bad):
             m = canonical_indices(p, N)[bad[0, 1]]
@@ -566,7 +568,7 @@ def canonicalize(dense: np.ndarray, class_tag: str) -> CanonicalTensor:
     The array must satisfy its class symmetry: an entry that deviates from
     the class reconstruction by more than ``_CLASS_RTOL`` times the largest
     entry raises a :class:`ClassViolationError` naming the worst offending
-    index pair.
+    index pair.  A NaN or infinite entry raises a plain ``ValueError``.
     """
     info = _class_info(class_tag)
     dense = np.asarray(dense)
@@ -580,6 +582,9 @@ def canonicalize(dense: np.ndarray, class_tag: str) -> CanonicalTensor:
         raise ValueError(f"{class_tag} dense arrays need a dimension divisible by {f}")
     N = D // f
     info.check_shape(p, N, f"{class_tag} tensors")
+    if not np.isfinite(dense).all():
+        at = tuple(int(i) + 1 for i in np.argwhere(~np.isfinite(dense))[0])
+        raise ValueError(f"entry at {at} is not finite (indices 1-based)")
     if info.units is None:
         if np.iscomplexobj(dense):
             raise ValueError("real classes expect real dense arrays")

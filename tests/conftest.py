@@ -113,3 +113,12 @@ def direct_sum(g, t):
     if g.flavor == "real":
         return float(_real_part(np.array(total)))
     return total
+
+
+def constant_sampler(t: CanonicalTensor):
+    """Always returns the same tensor (degenerate law)."""
+
+    def draw(rng: np.random.Generator) -> CanonicalTensor:
+        return t
+
+    return draw

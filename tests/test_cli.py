@@ -281,6 +281,20 @@ def test_mistyped_tensor_fields_are_input_errors(tmp_path, capsys, case):
     assert all(ln.startswith(f"gte: bad tensor file {path}: ") for ln in lines)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_tensor_values_are_input_errors(tmp_path, capsys, value):
+    path = str(tmp_path / "t.ndjson")
+    Path(path).write_text('{"class": "sym", "p": 2, "N": 2, "entries": '
+                          f'[{{"idx": [1, 1], "re": {value}}}, {{"idx": [1, 2], "re": 5.0}}]}}\n')
+    assert run(["act", "--haar", "--seed", "1", "--tensor", path]) == 2
+    assert run(["invariant", "--melon", "--tensor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    msg = (f"gte: bad tensor file {path}: entry with idx [1, 1]: re must be finite, "
+           f"got {value.lower()[:3]}\n")
+    assert captured.err == 2 * msg
+
+
 def test_graph_check_refuses_fractional_edge_slots(tmp_path, capsys):
     d = json.loads(dumps_graph(melon_graph(2)))
     d["edges"][0][0] = [0.9, 1.7]
@@ -315,6 +329,36 @@ def test_verify_derivative_refuses_fewer_trials_than_configurations(samples, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least 8 trials" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--kind", "gste"], ["--p", "6", "--dim", "9"],
+                                   ["--beta", "0"], ["--gamma", "1", "--kind", "gote"]])
+def test_verify_derivative_refuses_ensemble_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "derivative", "--seed", "0", "--samples", "8"] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = ", ".join(f for f in ("--kind", "--p", "--dim", "--beta", "--gamma") if f in flags)
+    assert captured.err.endswith(f"takes no {named}\n")
+
+
+def test_verify_defaults_equal_the_explicit_ensemble(capsys):
+    base = ["verify", "--suite", "gaussianity", "--seed", "3", "--samples", "200"]
+    outs = []
+    for extra in ([], ["--kind", "gote", "--p", "2", "--dim", "2", "--beta", "0",
+                       "--gamma", "1"]):
+        assert run(base + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("gaussianity-independence: PASS")
+
+
+def test_negative_seed_message_is_numpys(capsys):
+    assert run(["sample", "--kind", "gote", "--p", "2", "--dim", "2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gte: expected non-negative integer\n"
 
 
 def test_size_guard_refuses_sample_and_act(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,11 @@ from gte.ensembles import (
     log_density_unnormalized,
     sample,
     sample_batch,
+    _STREAM_BLOCK,
+    _stream,
+    _streams,
 )
+from gte.harness import _AUX
 from gte.invariants import paired_trace
 from gte.tensor import (
     canonical_indices,
@@ -54,6 +58,60 @@ def test_seed_partition_is_deterministic():
         assert np.array_equal(t1.values, t2.values)
     c = sample_batch(EnsembleSpec("GOTE", 3, 2, seed=12), 3)
     assert not np.array_equal(a[0].values, c[0].values)
+
+
+# -- the stream contract: draw i reads default_rng(SeedSequence((seed, i))) ----
+
+_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**130 + 17]
+
+
+def _reference(seed, i):
+    return np.random.default_rng(np.random.SeedSequence((seed, i)))
+
+
+def _assert_same_stream(rng, seed, i):
+    words = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+    assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
+    assert np.array_equal(rng.standard_normal(8), _reference(seed, i).standard_normal(8))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_streams_match_numpy_seed_sequence(seed):
+    for i in (0, 1, 2**31, 2**32 - 1, 2**32, 2**64 + 9, _AUX, _AUX + 1):
+        _assert_same_stream(_stream(seed, i), seed, i)
+    for start, stop in [(0, 9), (2**32 - 4, 2**32 + 4),    # across a multiple of 2**32
+                        (_AUX - 2, _AUX + 3),
+                        (3, 3 + _STREAM_BLOCK + 2)]:      # across a block boundary
+        rngs = list(_streams(seed, start, stop))
+        assert len(rngs) == stop - start
+        for k, rng in enumerate(rngs):
+            _assert_same_stream(rng, seed, start + k)
+
+
+def test_sample_batch_beyond_one_block_matches_per_draw_streams():
+    spec = EnsembleSpec("GUTE", 2, 2, beta=0.5, seed=2**33 + 1)
+    count = _STREAM_BLOCK + 3
+    batch = sample_batch(spec, count)
+    assert len(batch) == count
+    for i, t in enumerate(batch):
+        assert np.array_equal(t.array, sample(spec, _reference(spec.seed, i)).array)
+
+
+def test_streams_refuse_a_negative_seed_with_numpys_message():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        _stream(-1, 0)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        sample_batch(EnsembleSpec("GOTE", 2, 2, seed=-1), 3)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.SeedSequence((-1, 0))
+    assert list(_streams(3, 5, 5)) == []
+
+
+def test_stream_seed_words_serve_pcg64_only():
+    seq = _stream(1, 2).bit_generator.seed_seq
+    assert not isinstance(seq, np.random.SeedSequence)
+    with pytest.raises(ValueError):
+        seq.generate_state(8, np.uint32)
 
 
 def test_goe_reduction_at_p2():

@@ -9,7 +9,6 @@ import pytest
 from gte.ensembles import EnsembleSpec, sample
 from gte.harness import (
     Subtest,
-    constant_sampler,
     derivative_identity_test,
     gaussianity_independence_test,
     invariance_test,
@@ -20,6 +19,8 @@ from gte.harness import (
     uniform_entry_sampler,
 )
 from gte.tensor import frobenius_norm_sq, shifted_by_identity, zeros
+
+from conftest import constant_sampler
 
 
 def test_derivative_identity_passes():

@@ -186,6 +186,21 @@ def test_matrix_refuses_non_integer_dimension(N):
         loads_matrix(json.dumps(d))
 
 
+@pytest.mark.parametrize("class_tag,entry,field", [
+    ("sym", '{"idx": [1, 2], "re": NaN}', "re"),
+    ("antisym", '{"idx": [1, 2, 3], "re": -Infinity}', "re"),
+    ("herm", '{"idx": [1, 2], "re": 1.0, "im": NaN}', "im"),
+    ("herm", '{"idx": [1, 2], "re": Infinity}', "re"),
+    ("selfdual", '{"idx": [1, 2], "re": NaN, "eps": [0]}', "re"),
+    ("sym", '{"idx": [1, 2], "re": 1e400}', "re"),
+])
+def test_tensor_refuses_non_finite_values(class_tag, entry, field):
+    p = 3 if class_tag == "antisym" else 2
+    line = f'{{"class": "{class_tag}", "p": {p}, "N": 3, "entries": [{entry}]}}'
+    with pytest.raises(ValueError, match=rf"idx \[1, 2(, 3)?\]: {field} must be finite"):
+        loads_tensor(line)
+
+
 def test_json_is_strict():
     # output must parse as standard JSON (no NaN/Infinity)
     rng = np.random.default_rng(4)

@@ -437,6 +437,31 @@ def test_class_check_is_relative_to_the_largest_entry():
     assert not canonicalize(np.zeros((2, 2)), "sym").array.any()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_canonicalize_refuses_non_finite_entries(bad):
+    # a NaN at the representative once hid the off-class entry (2, 1)
+    with pytest.raises(ValueError, match=r"entry at \(1, 1\) is not finite") as exc:
+        canonicalize(np.array([[bad, 0.0], [5.0, 0.0]]), "sym")
+    assert not isinstance(exc.value, ClassViolationError)
+    dense = densify(random_tensor("herm", 2, 2, np.random.default_rng(3))).copy()
+    dense[1, 0] = complex(0.0, bad)
+    with pytest.raises(ValueError, match=r"entry at \(2, 1\) is not finite"):
+        canonicalize(dense, "herm")
+
+
+@pytest.mark.parametrize("class_tag,p,N", [("sym", 2, 2), ("antisym", 3, 3),
+                                           ("herm", 2, 2), ("selfdual", 2, 2)])
+def test_tensor_refuses_non_finite_values(class_tag, p, N):
+    arr = random_tensor(class_tag, p, N, np.random.default_rng(4)).array.copy()
+    for bad in (np.nan, np.inf):
+        arr[-1, -1] = bad
+        with pytest.raises(ValueError, match=f"{class_tag} values must be finite"):
+            CanonicalTensor(class_tag, p, N, arr)
+    with pytest.raises(ValueError, match="must be finite"):
+        CanonicalTensor(class_tag, p, N, {_class_info(class_tag).keys(p)[0]:
+                                          np.full(class_count(p, N), np.nan)})
+
+
 def test_tensors_compare_and_hash_by_identity():
     t = zeros("sym", 2, 2)
     assert t == t
