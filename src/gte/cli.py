@@ -273,6 +273,9 @@ _ENSEMBLE_DEFAULTS = {"kind": "gote", "p": 2, "dim": 2, "beta": 0.0, "gamma": 1.
 def _cmd_verify(args) -> int:
     n = args.samples
     given = [name for name in _ENSEMBLE_DEFAULTS if getattr(args, name) is not None]
+    if args.centered and args.suite != "isotropy":
+        raise _UsageError(f"--centered applies to --suite isotropy only, "
+                          f"not --suite {args.suite}")
     if args.suite == "derivative":
         if given:
             flags = ", ".join(f"--{name}" for name in given)

@@ -103,8 +103,9 @@ def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    values = _canonical_values(spec, np.stack([
-        _read_normals(spec, rng) for rng in _streams(spec.seed, 0, count)]))
+    C, K = _value_shape(spec)
+    normals = _normal_block(_streams(spec.seed, 0, count), count, C * K)
+    values = _canonical_values(spec, normals.reshape(count, C, K))
     return [CanonicalTensor(spec.class_tag, spec.p, spec.N, v) for v in values]
 
 
@@ -222,11 +223,30 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+def _value_shape(spec: EnsembleSpec) -> tuple[int, int]:
+    """(C, K): the components and canonical classes of one draw's values."""
+    return len(_class_info(spec.class_tag).keys(spec.p)), class_count(spec.p, spec.N)
+
+
 def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """The stream read of one draw: a (C, K) array holding one length-K
     standard normal vector per component, in storage order."""
-    return rng.standard_normal((len(_class_info(spec.class_tag).keys(spec.p)),
-                                class_count(spec.p, spec.N)))
+    return rng.standard_normal(_value_shape(spec))
+
+
+def _normal_block(rngs, count: int, width: int) -> np.ndarray:
+    """The next ``count`` generators of ``rngs`` read into one (count, width)
+    array: row b holds the first ``width`` standard normals of generator b.
+
+    A stream is read once, whatever its row holds.  numpy's ziggurat keeps
+    no state between calls, so one read of a + b normals gives bit for bit
+    the values of a read of a followed by a read of b; a row can therefore
+    hold a draw's tensor normals followed by its Haar element's.
+    """
+    out = np.empty((count, width))
+    for row, rng in zip(out, rngs):     # ``out`` first: zip stops before an extra next()
+        rng.standard_normal(out=row)
+    return out
 
 
 def _canonical_values(spec: EnsembleSpec, normals: np.ndarray) -> np.ndarray:

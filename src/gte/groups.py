@@ -134,12 +134,20 @@ def haar_sample(flavor: str, N: int, rng: np.random.Generator) -> GroupElement:
     return GroupElement(flavor, _haar_matrices(flavor, _haar_normals(flavor, N, rng)[None])[0])
 
 
-def _haar_normals(flavor: str, N: int, rng: np.random.Generator) -> np.ndarray:
-    """The stream read of one Haar draw: (k, N, N) normals, k = 1, 2, 4 by flavor."""
-    reads = {"orthogonal": 1, "unitary": 2, "symplectic": 4}.get(flavor)
-    if reads is None:
+#: the (N, N) standard normal matrices one Haar draw reads, by flavor
+_HAAR_READS = {"orthogonal": 1, "unitary": 2, "symplectic": 4}
+
+
+def _haar_shape(flavor: str, N: int) -> tuple[int, int, int]:
+    """The shape (k, N, N) of one Haar draw's stream read, k from ``_HAAR_READS``."""
+    if flavor not in _HAAR_READS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return rng.standard_normal((reads, N, N))
+    return _HAAR_READS[flavor], N, N
+
+
+def _haar_normals(flavor: str, N: int, rng: np.random.Generator) -> np.ndarray:
+    """The stream read of one Haar draw: (k, N, N) normals."""
+    return rng.standard_normal(_haar_shape(flavor, N))
 
 
 def _haar_matrices(flavor: str, normals: np.ndarray) -> np.ndarray:

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _C, _canonical_values, _read_normals, _stream, _streams
+from .ensembles import (EnsembleSpec, _C, _canonical_values, _normal_block, _stream,
+                        _streams, _value_shape)
 from .groups import (act_dense, givens_rotation, theta_derivative,
-                     _act_stack, _check_members, _haar_matrices, _haar_normals)
+                     _act_stack, _check_members, _haar_matrices, _haar_normals, _haar_shape)
 from .invariants import melon_graph, _evaluate_stack
 from .tensor import (
     CanonicalTensor,
@@ -129,33 +130,48 @@ def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: 
     first the tensor (an ensemble's normals, or a callable sampler's
     CanonicalTensor), then with ``haar`` one Haar element's normals
     (``flavor`` defaults to the class's group) -- and yield ``(tag, p, N,
-    flavor, values, normals)`` in chunks: (B, C, K) canonical values and
-    (B, k, N, N) Haar normals."""
-    spec = sampler if isinstance(sampler, EnsembleSpec) else None
-    if spec is None and not callable(sampler):
+    flavor, values, normals)`` in chunks of ``_CHUNK_BYTES`` of dense
+    tensors: (B, C, K) canonical values and (B, k, N, N) Haar normals.
+
+    An ensemble's chunk is one ``_normal_block``: each stream is read once,
+    into a row that holds the tensor's C*K normals and then the Haar
+    element's k*N*N, which equals the two reads bit for bit.  A callable
+    sampler reads its own stream, and the Haar read follows on it.
+    """
+    if isinstance(sampler, EnsembleSpec):
+        info, p, N = _class_info(sampler.class_tag), sampler.p, sampler.N
+        flavor = flavor or info.group
+        C, K = _value_shape(sampler)
+        haar_shape = _haar_shape(flavor, N) if haar else None
+        width = C * K + (int(np.prod(haar_shape)) if haar else 0)
+        rngs, size = _streams(seed, 0, n_samples), _chunk_size(info, p, N)
+        for start in range(0, n_samples, size):
+            block = _normal_block(rngs, min(size, n_samples - start), width)
+            vals = _canonical_values(sampler, block[:, :C * K].reshape(-1, C, K))
+            normals = block[:, C * K:].reshape((-1,) + haar_shape) if haar else None
+            yield sampler.class_tag, p, N, flavor, vals, normals
+        return
+    if not callable(sampler):
         raise TypeError(f"sampler must be an EnsembleSpec or callable, got {type(sampler)!r}")
-    rows, normals, size = [], [], None
+    rows, normals = [], []
     for i, rng in enumerate(_streams(seed, 0, n_samples)):
-        if spec is not None:
-            tag, p, N = spec.class_tag, spec.p, spec.N
-            rows.append(_read_normals(spec, rng))
-        else:
-            t = sampler(rng)
-            tag, p, N = t.class_tag, t.p, t.N
-            rows.append(t.array)
-        if size is None:
-            info = _class_info(tag)
-            flavor = flavor or info.group
-            dense_bytes = (info.dim_factor * N) ** p * (8 if info.units is None else 16)
-            size = max(1, _CHUNK_BYTES // dense_bytes)
+        t = sampler(rng)
+        rows.append(t.array)
+        if i == 0:
+            info = _class_info(t.class_tag)
+            flavor, size = flavor or info.group, _chunk_size(info, t.p, t.N)
         if haar:
-            normals.append(_haar_normals(flavor, N, rng))
+            normals.append(_haar_normals(flavor, t.N, rng))
         if len(rows) == size or i == n_samples - 1:
-            vals = np.stack(rows)
-            if spec is not None:
-                vals = _canonical_values(spec, vals)
-            yield tag, p, N, flavor, vals, np.stack(normals) if haar else None
+            yield t.class_tag, t.p, t.N, flavor, np.stack(rows), np.stack(normals) if haar else None
             rows, normals = [], []
+
+
+def _chunk_size(info, p: int, N: int) -> int:
+    """Samples per chunk: as many dense (p, N) tensors of the class as fit
+    in ``_CHUNK_BYTES``, at least one."""
+    dense_bytes = (info.dim_factor * N) ** p * (8 if info.units is None else 16)
+    return max(1, _CHUNK_BYTES // dense_bytes)
 
 
 def _ks_2samp(a: np.ndarray, b: np.ndarray):
@@ -249,7 +265,7 @@ def _entry_moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     in storage order."""
     p, N = spec.p, spec.N
     info = _class_info(spec.class_tag)
-    shape = (len(info.keys(p)), class_count(p, N))
+    shape = _value_shape(spec)
     var = np.broadcast_to(spec.gamma * p / multiplicities(p, N) / _C[spec.kind], shape).copy()
     var[info.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N)] = 0.0
     return _canonical_values(spec, np.zeros((1,) + shape)).ravel(), var.ravel()

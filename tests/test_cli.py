@@ -448,6 +448,17 @@ def test_verify_isotropy_shifted_fails_and_centered_reports(capsys):
     assert "isotropy-centered:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["invariance", "gaussianity", "derivative"])
+def test_verify_refuses_centered_outside_isotropy(capsys, suite):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", suite, "--seed", "0", "--samples", "200", "--centered"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"--centered applies to --suite isotropy only, "
+                                 f"not --suite {suite}\n")
+
+
 def test_missing_required_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["sample", "--kind", "gote", "--p", "2", "--dim", "2"])

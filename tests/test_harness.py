@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gte.ensembles import EnsembleSpec, sample
+from gte.ensembles import EnsembleSpec, sample, _STREAM_BLOCK
+from gte.groups import flavor_for_class
 from gte.harness import (
     Subtest,
     derivative_identity_test,
@@ -17,6 +18,7 @@ from gte.harness import (
     rotated_spike_sampler,
     sphere_sampler,
     uniform_entry_sampler,
+    _draws,
 )
 from gte.tensor import frobenius_norm_sq, shifted_by_identity, zeros
 
@@ -219,3 +221,40 @@ def test_resolve_sampler_type_error():
 def test_subtest_tuple_shape():
     s = Subtest("x", 1.0, 2.0, 0.5, True)
     assert s.name == "x" and s.passed
+
+
+# -- the read order of _draws, pinned against numpy itself -----------------
+
+_HAAR_READS = {"orthogonal": 1, "unitary": 2, "symplectic": 4}
+_ACROSS_BLOCK = _STREAM_BLOCK + 3
+
+
+@pytest.mark.parametrize("sampler,n,sizes", [
+    (EnsembleSpec("GOTE", 3, 2, beta=0.5), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (EnsembleSpec("GUTE", 4, 2, gamma=2.0), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (EnsembleSpec("GSTE", 2, 2, beta=0.5), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    # a chunk holds two 2 MiB dense GOTE p=6 N=8 tensors
+    (EnsembleSpec("GOTE", 6, 8), 5, [2, 2, 1]),
+    (uniform_entry_sampler(3, 2), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (uniform_entry_sampler(6, 8), 5, [2, 2, 1]),
+], ids=["GOTE-3-2", "GUTE-4-2", "GSTE-2-2", "GOTE-6-8", "callable-3-2", "callable-6-8"])
+@pytest.mark.parametrize("haar", [False, True])
+def test_draws_read_each_stream_in_numpys_order(sampler, n, sizes, haar):
+    # draw i reads default_rng(SeedSequence((seed, i))): the tensor first,
+    # then with haar the Haar element's (k, N, N) normals, as two reads
+    seed = 2**32 + 3
+    chunks = list(_draws(sampler, seed, n, haar=haar))
+    assert [len(vals) for *_, vals, _ in chunks] == sizes
+    draw = sampler if callable(sampler) else lambda rng: sample(sampler, rng)
+    i = 0
+    for tag, p, N, flavor, vals, normals in chunks:
+        assert flavor == flavor_for_class(tag)
+        assert (normals is None) != haar
+        for b in range(len(vals)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+            assert np.array_equal(vals[b], draw(rng).array)
+            if haar:
+                assert np.array_equal(normals[b],
+                                      rng.standard_normal((_HAAR_READS[flavor], N, N)))
+            i += 1
+    assert i == n
