@@ -95,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("verify", help="run a statistical verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["invariance", "gaussianity", "derivative", "isotropy"])
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     # None marks a flag not given: derivative refuses these, and the other
     # suites fill in _ENSEMBLE_DEFAULTS
     p.add_argument("--kind", choices=["gote", "gute", "gste"])
@@ -108,9 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample count (default 5000; 100 trials for derivative)")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--json", action="store_true", dest="as_json")
-    p.add_argument("--centered", action="store_true",
-                   help="isotropy only: subtract the fitted identity component "
-                        "first (exploratory; always exits 0)")
     return top
 
 
@@ -269,33 +265,31 @@ def _cmd_identity(args) -> int:
 #: the ensemble ``gte verify`` tests when a flag is not given
 _ENSEMBLE_DEFAULTS = {"kind": "gote", "p": 2, "dim": 2, "beta": 0.0, "gamma": 1.0}
 
+#: ``gte verify --suite`` name -> (library suite, keyword of its sample
+#: count, and for a suite that runs a fixed grid instead of the ensemble the
+#: flags describe, why it takes no ensemble flags)
+_SUITES = {
+    "invariance": (invariance_test, "n_samples", None),
+    "gaussianity": (gaussianity_independence_test, "n_samples", None),
+    "derivative": (derivative_identity_test, "n_trials",
+                   "runs its fixed grid of symmetric tensors (p <= 4, N <= 3)"),
+    "isotropy": (isotropy_test, "n_samples", None),
+}
+
 
 def _cmd_verify(args) -> int:
-    n = args.samples
-    given = [name for name in _ENSEMBLE_DEFAULTS if getattr(args, name) is not None]
-    if args.centered and args.suite != "isotropy":
-        raise _UsageError(f"--centered applies to --suite isotropy only, "
-                          f"not --suite {args.suite}")
-    if args.suite == "derivative":
-        if given:
-            flags = ", ".join(f"--{name}" for name in given)
-            raise _UsageError(f"--suite derivative runs its fixed grid of symmetric "
-                              f"tensors (p <= 4, N <= 3) and takes no {flags}")
-        report = derivative_identity_test(n_trials=n if n is not None else 100,
-                                          seed=args.seed)
-    else:
-        ens = {**_ENSEMBLE_DEFAULTS, **{name: getattr(args, name) for name in given}}
-        spec = EnsembleSpec(ens["kind"], ens["p"], ens["dim"], beta=ens["beta"],
-                            gamma=ens["gamma"], seed=args.seed)
-        n = n if n is not None else 5000
-        if args.suite == "invariance":
-            report = invariance_test(spec, n_samples=n, seed=args.seed)
-        elif args.suite == "gaussianity":
-            report = gaussianity_independence_test(spec, n_samples=n,
-                                                   seed=args.seed)
-        else:
-            report = isotropy_test(spec, n_samples=n, seed=args.seed,
-                                   center=args.centered)
+    suite, count, fixed_grid = _SUITES[args.suite]
+    given = {name: getattr(args, name) for name in _ENSEMBLE_DEFAULTS
+             if getattr(args, name) is not None}
+    if fixed_grid and given:
+        flags = ", ".join(f"--{name}" for name in given)
+        raise _UsageError(f"--suite {args.suite} {fixed_grid} and takes no {flags}")
+    ens = {**_ENSEMBLE_DEFAULTS, **given}
+    sampler = () if fixed_grid else (EnsembleSpec(
+        ens["kind"], ens["p"], ens["dim"], beta=ens["beta"], gamma=ens["gamma"],
+        seed=args.seed),)
+    counts = {} if args.samples is None else {count: args.samples}
+    report = suite(*sampler, seed=args.seed, **counts)
     if args.as_json:
         sys.stdout.write(json.dumps(report_to_dict(report),
                                     separators=(", ", ": ")) + "\n")
@@ -310,8 +304,6 @@ def _cmd_verify(args) -> int:
         lines += [f"  failed: {s.name} statistic={_fmt(s.statistic)}"
                   for s in report.subtests if not s.passed]
         sys.stdout.write("".join(ln + "\n" for ln in lines))
-    if args.suite == "isotropy" and args.centered:
-        return 0  # exploratory: reported without pass/fail semantics
     return 0 if report.passed else 1
 
 

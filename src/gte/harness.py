@@ -11,10 +11,12 @@ Four sample-level checks of what the ensembles are supposed to look like:
   uniform on the unit sphere.
 
 Every test consumes randomness through a deterministic per-sample seed
-partition (seed, sample index), so reports are bit-reproducible.  Two-sample
-comparisons use Kolmogorov-Smirnov at level 0.01 with a Bonferroni correction
-across subtests; moment comparisons use a 4-standard-error band under the
-Gaussian null.
+partition (seed, sample index), so reports are bit-reproducible.  A suite
+hands its statistics to ``_finish``, the one place they become verdicts, each
+with its null: a z statistic passes at most ``Z_BOUND`` (4 standard errors), a
+Kolmogorov-Smirnov p-value passes at least ``ALPHA`` over the number of KS
+subtests in the report (Bonferroni), and an exact deviation passes at most its
+stated tolerance.
 
 Note on power: trace invariants are *pointwise* fixed by the matching group
 action, so comparing their before/after distributions can never reject.  The
@@ -40,8 +42,6 @@ from .tensor import (
     canonicalize,
     class_count,
     densify,
-    flatten_isometry,
-    identity_tensor,
     multiplicities,
     shifted_by_identity,
     unflatten_isometry,
@@ -179,16 +179,32 @@ def _ks_2samp(a: np.ndarray, b: np.ndarray):
     return stats.ks_2samp(a, b, method="asymp")
 
 
-def _finish(name, subtests, n_samples, seed):
+def _finish(name, rows, n_samples, seed):
+    """The report of a suite from its ``(null, name, statistic, p_value)``
+    rows, in report order.  The null sets each row's bound: ``"z"`` passes a
+    statistic at most ``Z_BOUND``; ``"ks"`` passes a p-value at least
+    ``ALPHA`` over the number of KS rows; a number passes an exact deviation
+    at most that number."""
+    n_ks = sum(null == "ks" for null, *_ in rows)
+    subtests = []
+    for null, sub, stat, p in rows:
+        stat, p = float(stat), None if p is None else float(p)
+        if null == "ks":
+            bound = ALPHA / n_ks
+            passed = p >= bound
+        else:
+            bound = Z_BOUND if null == "z" else float(null)
+            passed = stat <= bound
+        subtests.append(Subtest(sub, stat, bound, p, passed))
     # headline = the worst subtest (failing ones first, then largest statistic)
     worst = max(subtests, key=lambda s: (not s.passed, s.statistic),
                 default=None)
     pvals = [s.p_value for s in subtests if s.p_value is not None]
     return VerificationReport(
         test=name,
-        statistic=float(worst.statistic) if worst else 0.0,
-        threshold=float(worst.threshold) if worst else 0.0,
-        p_value=float(min(pvals)) if pvals else None,
+        statistic=worst.statistic if worst else 0.0,
+        threshold=worst.threshold if worst else 0.0,
+        p_value=min(pvals) if pvals else None,
         passed=all(s.passed for s in subtests),
         n_samples=n_samples,
         seed=seed,
@@ -240,7 +256,7 @@ def invariance_test(sampler, flavor: str | None = None,
         for j, name in enumerate(tags):
             paired.setdefault(name, []).append((X0[:, j], X1[:, j], norms))
 
-    subtests = []
+    rows = []
     for name, chunks in paired.items():
         a, b, scale = (np.concatenate(part) for part in zip(*chunks))
         # The samples are index-paired (same tensor before/after rotation), so
@@ -249,15 +265,11 @@ def invariance_test(sampler, flavor: str | None = None,
         # there keeps rounding dust from turning a degenerate-but-invariant
         # law into a rejection.
         if np.all(np.abs(a - b) <= _PAIR_RTOL * scale):
-            subtests.append((name, 0.0, 1.0))
+            rows.append(("ks", name, 0.0, 1.0))
         else:
             res = _ks_2samp(a, b)
-            subtests.append((name, float(res.statistic), float(res.pvalue)))
-
-    level = ALPHA / len(subtests)
-    subs = tuple(Subtest(name, stat, level, p, p >= level)
-                 for name, stat, p in subtests)
-    return _finish("invariance", list(subs), n_samples, seed)
+            rows.append(("ks", name, res.statistic, res.pvalue))
+    return _finish("invariance", rows, n_samples, seed)
 
 
 def _entry_moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -295,13 +307,13 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
         raise ValueError(f"sampler produced {X.shape[1]} entries, reference "
                          f"ensemble has {mu.size}")
     n = n_samples
-    subtests = []
+    rows = []
     live = []
     for j in range(mu.size):
         name = f"entry[{j}]"
         if var[j] == 0.0:
             dev = float(np.max(np.abs(X[:, j] - mu[j])))
-            subtests.append(Subtest(f"{name}.const", dev, 0.0, None, dev <= 0.0))
+            rows.append((0.0, f"{name}.const", dev, None))
             continue
         live.append(j)
         sd = np.sqrt(var[j])
@@ -314,9 +326,7 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
             ("kurt", abs(np.mean(centered ** 4) - 3.0 * var[j] ** 2)
              / np.sqrt(96.0 * sd ** 8 / n)),
         ]
-        for tag, z in checks:
-            z = float(z)
-            subtests.append(Subtest(f"{name}.{tag}", z, Z_BOUND, None, z <= Z_BOUND))
+        rows += [("z", f"{name}.{tag}", z, None) for tag, z in checks]
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
             ja, jb = live[a], live[b]
@@ -325,9 +335,8 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
             if sa == 0.0 or sb == 0.0:
                 continue  # the variance subtest already failed for that entry
             r = float(np.mean((X[:, ja] - X[:, ja].mean()) * (X[:, jb] - X[:, jb].mean())) / (sa * sb))
-            z = float(abs(r) * np.sqrt(n))
-            subtests.append(Subtest(f"corr[{ja},{jb}]", z, Z_BOUND, None, z <= Z_BOUND))
-    return _finish("gaussianity-independence", subtests, n_samples, seed)
+            rows.append(("z", f"corr[{ja},{jb}]", abs(r) * np.sqrt(n), None))
+    return _finish("gaussianity-independence", rows, n_samples, seed)
 
 
 def derivative_identity_test(n_trials: int = 100, seed: int = 0) -> VerificationReport:
@@ -349,62 +358,58 @@ def derivative_identity_test(n_trials: int = 100, seed: int = 0) -> Verification
         dn = act_dense(givens_rotation(-h, N, "orthogonal"), t)
         err = float(np.max(np.abs(analytic - (up - dn) / (2.0 * h))))
         worst[(p, N)] = max(worst[(p, N)], err)
-    subtests = [Subtest(f"p={p},N={N}", e, tol, None, e <= tol)
-                for (p, N), e in worst.items()]
-    return _finish("derivative-identity", subtests, n_trials, seed)
+    rows = [(tol, f"p={p},N={N}", e, None) for (p, N), e in worst.items()]
+    return _finish("derivative-identity", rows, n_trials, seed)
 
 
-def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0,
-                  *, center: bool = False) -> VerificationReport:
+def _sphere_dim(tag: str, p: int, N: int) -> int:
+    """K, the sphere's dimension; refuses a non-symmetric class and K < 3."""
+    if tag != "sym":
+        raise ValueError("isotropy_test expects real-symmetric samples")
+    K = class_count(p, N)
+    if K < 3:
+        raise ValueError(f"need at least 3 flattened components, got K={K}")
+    return K
+
+
+def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0) -> VerificationReport:
     """Uniformity on the unit sphere of the flattened, normalized samples.
 
     Subtests: each squared coordinate has mean 1/K (4 standard errors, using
     the exact sphere variance of u_k^2), and projections onto 10 fixed random
     directions agree with the same projections of a directly sampled uniform
-    sphere cloud (KS at alpha/10).  With ``center=True`` the empirical mean
-    of the leading entry times the identity tensor is subtracted first --
-    exploratory diagnostics for shifted laws.
+    sphere cloud (KS at alpha/10).  An ensemble is refused before it is
+    drawn, a callable sampler on its first chunk.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    if isinstance(sampler, EnsembleSpec):
+        _sphere_dim(sampler.class_tag, sampler.p, sampler.N)
     flats = []
     for tag, p_, N_, _, vals, _ in _draws(sampler, seed, n_samples):
-        if tag != "sym":
-            raise ValueError("isotropy_test expects real-symmetric samples")
+        K = _sphere_dim(tag, p_, N_)
         flats.append(np.sqrt(multiplicities(p_, N_)) * vals[:, 0])
     X = np.concatenate(flats)
-    K = class_count(p_, N_)
-    if K < 3:
-        raise ValueError(f"need at least 3 flattened components, got K={K}")
-    if center:
-        # subtract (empirical mean of the leading all-ones entry) * identity
-        lead = float(np.mean(X[:, 0] / np.sqrt(multiplicities(p_, N_)[0])))
-        X = X - lead * flatten_isometry(identity_tensor(p_, N_))
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero sample")
     U = X / norms[:, None]
 
-    subtests = []
     var_coord = 3.0 / (K * (K + 2)) - 1.0 / K ** 2
     se = np.sqrt(var_coord / n_samples)
-    for k in range(K):
-        z = float(abs(np.mean(U[:, k] ** 2) - 1.0 / K) / se)
-        subtests.append(Subtest(f"coord_sq[{k}]", z, Z_BOUND, None, z <= Z_BOUND))
+    rows = [("z", f"coord_sq[{k}]", abs(np.mean(U[:, k] ** 2) - 1.0 / K) / se, None)
+            for k in range(K)]
 
     rng_dir = _stream(seed, _AUX)
     rng_sph = _stream(seed, _AUX + 1)
     V = rng_sph.standard_normal((n_samples, K))
     V /= np.linalg.norm(V, axis=1)[:, None]
-    level = ALPHA / 10
     for j in range(10):
         w = rng_dir.standard_normal(K)
         w /= np.linalg.norm(w)
         res = _ks_2samp(U @ w, V @ w)
-        subtests.append(Subtest(f"projection[{j}]", float(res.statistic), level,
-                                float(res.pvalue), bool(res.pvalue >= level)))
-    name = "isotropy-centered" if center else "isotropy"
-    return _finish(name, subtests, n_samples, seed)
+        rows.append(("ks", f"projection[{j}]", res.statistic, res.pvalue))
+    return _finish("isotropy", rows, n_samples, seed)
 
 
 # -- designed counterexample and oracle samplers ---------------------------

@@ -11,7 +11,10 @@ import pytest
 
 import gte.tensor
 from gte.cli import run
+from gte.ensembles import EnsembleSpec
 from gte.groups import GroupElement, act, haar_sample
+from gte.harness import (MIN_SAMPLES, derivative_identity_test, gaussianity_independence_test,
+                         invariance_test, isotropy_test, report_to_dict)
 from gte.invariants import bouquet_graph, evaluate, melon_graph
 from gte.serialize import dumps_graph, dumps_matrix, load_tensors, loads_tensor
 from gte.tensor import frobenius_norm_sq, identity_tensor
@@ -439,24 +442,44 @@ def test_verify_json_output_parses(capsys):
     assert isinstance(d["subtests"], list) and d["subtests"]
 
 
-def test_verify_isotropy_shifted_fails_and_centered_reports(capsys):
-    base = ["verify", "--suite", "isotropy", "--kind", "gote", "--p", "2",
-            "--dim", "2", "--beta", "1.0", "--samples", "800", "--seed", "4"]
-    assert run(base) == 1
+def test_verify_isotropy_shifted_law_fails(capsys):
+    assert run(["verify", "--suite", "isotropy", "--kind", "gote", "--p", "2",
+                "--dim", "2", "--beta", "1.0", "--samples", "800", "--seed", "4"]) == 1
     assert "isotropy: FAIL" in capsys.readouterr().out
-    assert run(base + ["--centered"]) == 0
-    assert "isotropy-centered:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("suite", ["invariance", "gaussianity", "derivative"])
-def test_verify_refuses_centered_outside_isotropy(capsys, suite):
+@pytest.mark.parametrize("suite", ["invariance", "gaussianity", "derivative", "isotropy"])
+def test_verify_has_no_centered_flag(capsys, suite):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--suite", suite, "--seed", "0", "--samples", "200", "--centered"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(f"--centered applies to --suite isotropy only, "
-                                 f"not --suite {suite}\n")
+    assert captured.err.endswith("unrecognized arguments: --centered\n")
+
+
+_ENSEMBLE_ARGV = ["--kind", "gote", "--p", "3", "--dim", "2", "--beta", "0.5", "--gamma", "2.0"]
+
+
+@pytest.mark.parametrize("suite,test", [
+    ("invariance", invariance_test),
+    ("gaussianity", gaussianity_independence_test),
+    ("derivative", derivative_identity_test),
+    ("isotropy", isotropy_test),
+])
+def test_verify_json_is_the_library_report(capsys, suite, test):
+    # the dispatch table routes each suite to its function with the
+    # ensemble, the count and the seed that argv gives
+    if suite == "derivative":
+        argv, report = ["--samples", "8"], test(n_trials=8, seed=6)
+    else:
+        argv = _ENSEMBLE_ARGV + ["--samples", str(MIN_SAMPLES)]
+        spec = EnsembleSpec("gote", 3, 2, beta=0.5, gamma=2.0, seed=6)
+        report = test(spec, n_samples=MIN_SAMPLES, seed=6)
+    code = run(["verify", "--suite", suite, "--seed", "6", "--json"] + argv)
+    assert capsys.readouterr().out == json.dumps(report_to_dict(report),
+                                                 separators=(", ", ": ")) + "\n"
+    assert code == (0 if report.passed else 1)
 
 
 def test_missing_required_argument_exits_2():

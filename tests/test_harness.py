@@ -8,8 +8,12 @@ import pytest
 
 from gte.ensembles import EnsembleSpec, sample, _STREAM_BLOCK
 from gte.groups import flavor_for_class
+import gte.harness
 from gte.harness import (
+    ALPHA,
+    MIN_SAMPLES,
     Subtest,
+    Z_BOUND,
     derivative_identity_test,
     gaussianity_independence_test,
     invariance_test,
@@ -19,6 +23,7 @@ from gte.harness import (
     sphere_sampler,
     uniform_entry_sampler,
     _draws,
+    _finish,
 )
 from gte.tensor import frobenius_norm_sq, shifted_by_identity, zeros
 
@@ -196,13 +201,6 @@ def test_isotropy_rejects_shifted_law():
                for s in rep.subtests)
 
 
-def test_isotropy_centering_recovers_shifted_law():
-    rep = isotropy_test(EnsembleSpec("GOTE", 2, 2, beta=1.0, seed=43),
-                        n_samples=1200, seed=43, center=True)
-    assert rep.test == "isotropy-centered"
-    assert rep.passed
-
-
 def test_isotropy_needs_enough_coordinates():
     with pytest.raises(ValueError):
         isotropy_test(EnsembleSpec("GOTE", 1, 2), n_samples=200)  # K = 2
@@ -213,6 +211,19 @@ def test_isotropy_rejects_non_symmetric_samples():
         isotropy_test(EnsembleSpec("GUTE", 2, 2), n_samples=200)
 
 
+@pytest.mark.parametrize("spec,message", [
+    (EnsembleSpec("GOTE", 1, 2), "need at least 3 flattened components, got K=2"),
+    (EnsembleSpec("GUTE", 2, 2), "isotropy_test expects real-symmetric samples"),
+])
+def test_isotropy_refuses_an_ensemble_before_drawing(monkeypatch, spec, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(gte.harness, "_draws", no_draws)
+    with pytest.raises(ValueError, match=message):
+        isotropy_test(spec, n_samples=10**6)
+
+
 def test_resolve_sampler_type_error():
     with pytest.raises(TypeError):
         invariance_test(object(), n_samples=200)
@@ -221,6 +232,28 @@ def test_resolve_sampler_type_error():
 def test_subtest_tuple_shape():
     s = Subtest("x", 1.0, 2.0, 0.5, True)
     assert s.name == "x" and s.passed
+
+
+def test_finish_passes_each_null_at_its_bound():
+    tol = 1e-6
+    rows = [("z", "z", Z_BOUND, None), (tol, "exact", tol, None),
+            ("ks", "ks", 0.3, ALPHA)]
+    rep = _finish("edges", rows, MIN_SAMPLES, 0)
+    assert [(s.name, s.threshold, s.passed) for s in rep.subtests] == [
+        ("z", Z_BOUND, True), ("exact", tol, True), ("ks", ALPHA, True)]
+    assert rep.passed
+    over = _finish("edges", [("z", "z", np.nextafter(Z_BOUND, 5.0), None),
+                             (0.0, "exact", 1e-300, None),
+                             ("ks", "ks", 0.3, np.nextafter(ALPHA, 0.0))], MIN_SAMPLES, 0)
+    assert [s.passed for s in over.subtests] == [False, False, False]
+
+
+def test_finish_splits_alpha_over_the_ks_rows_only():
+    rows = [("z", f"coord_sq[{k}]", 1.0, None) for k in range(3)]
+    rows += [("ks", f"projection[{j}]", 0.1, ALPHA / 10) for j in range(10)]
+    rep = _finish("isotropy", rows, MIN_SAMPLES, 0)
+    assert [s.threshold for s in rep.subtests] == [Z_BOUND] * 3 + [ALPHA / 10] * 10
+    assert rep.passed and rep.p_value == ALPHA / 10
 
 
 # -- the read order of _draws, pinned against numpy itself -----------------
