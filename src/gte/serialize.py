@@ -6,7 +6,9 @@ A tensor file is NDJSON, ``dumps_tensor(t) + "\\n"`` per tensor, and
 :func:`load_tensors` reads one back.  Strings use 1-based tensor indices (as
 in standard index notation); the in-memory types are 0-based.  This module
 is the only place where the shift happens.  All writers are deterministic:
-fixed key order, canonical entry order, shortest-round-trip floats.
+fixed key order, canonical entry order, shortest-round-trip floats.  The
+tensor writer and reader work from per-(p, N) tables of the canonical
+classes, and the reader checks each field on whole lists at once.
 
 Formats
 -------
@@ -25,12 +27,14 @@ graph    {"p": ..., "n": ..., "flavor": ..., "edges": [[[v, k], [w, l]], ...]}
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain, compress, count
 
 import numpy as np
 
 from .groups import FLAVORS, GroupElement
 from .invariants import TraceGraph
-from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices, _class_info, _class_positions
+from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices, _canonical_rows, _class_info
 
 __all__ = [
     "dumps_graph",
@@ -53,32 +57,44 @@ def _numbers(xs) -> bool:
     return {int, float}.issuperset(map(type, xs))
 
 
+def _doubles(xs: list) -> np.ndarray:
+    """The JSON numbers ``xs`` as doubles.  An integer past the double range
+    reads as +-inf, as json reads a float literal past it."""
+    try:
+        return np.array(xs, dtype=float)
+    except OverflowError:  # float() refuses such an integer, not its digits
+        return np.array([float(str(x)) for x in xs])
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "), allow_nan=False)
 
 
+@lru_cache(maxsize=None)
+def _class_table(p: int, N: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Per canonical class: the text of its entry up to the "re" value, and
+    the flat dense position of its tuple (ascending)."""
+    rows = _canonical_rows(p, N)
+    return (tuple('{"idx": %s, "re": ' % m for m in (rows.astype(int) + 1).tolist()),
+            np.ravel_multi_index(tuple(rows.T), (N,) * p))
+
+
 def dumps_tensor(t: CanonicalTensor) -> str:
-    info = _class_info(t.class_tag)
-    entries = []
-    classes = canonical_indices(t.p, t.N)
+    (pre, _), arr, info = _class_table(t.p, t.N), t.array, _class_info(t.class_tag)
     if info.dim_factor == 1:
         # scalar units: the components are the real and imaginary parts
-        re = t.array[0].tolist()
-        im = t.array[1].tolist() if len(t.array) > 1 else [0.0] * len(re)
-        for m, x, y in zip(classes, re, im):
-            if x == 0.0 and y == 0.0:
-                continue
-            e = {"idx": [i + 1 for i in m], "re": x}
-            if y != 0.0:
-                e["im"] = y
-            entries.append(e)
+        k = np.flatnonzero(arr.any(axis=0))
+        im = arr[1, k].tolist() if len(arr) > 1 else [0.0] * len(k)
+        entries = [pre[j] + repr(x) + (', "im": %r}' % y if y else "}")
+                   for j, x, y in zip(k.tolist(), arr[0, k].tolist(), im)]
     else:
         # storage order is the sorted order of the labels
-        for eps, row in zip(info.keys(t.p), t.array.tolist()):
-            for m, x in zip(classes, row):
-                if x != 0.0:
-                    entries.append({"idx": [i + 1 for i in m], "re": x, "eps": list(eps)})
-    return _dumps({"class": t.class_tag, "p": t.p, "N": t.N, "entries": entries})
+        entries = []
+        for row, eps in zip(arr, info.keys(t.p)):
+            k, tail = np.flatnonzero(row), ', "eps": %s}' % list(eps)
+            entries += [pre[j] + repr(x) + tail for j, x in zip(k.tolist(), row[k].tolist())]
+    return '{"class": "%s", "p": %d, "N": %d, "entries": [%s]}' % (
+        t.class_tag, t.p, t.N, ", ".join(entries))
 
 
 def loads_tensor(s: str) -> CanonicalTensor:
@@ -95,37 +111,57 @@ def loads_tensor(s: str) -> CanonicalTensor:
     info = _class_info(tag)
     info.check_shape(p, N, f"{tag} tensors")
     rows = info.rows(p)
-    pos = _class_positions(p, N)
-    arr = np.zeros((len(rows), len(pos)))
     if not isinstance(raw_entries, list):
         raise ValueError(f"entries must be a list, got {raw_entries!r}")
-    for e in raw_entries:
-        one_based = e.get("idx") if isinstance(e, dict) else None
-        if not (isinstance(one_based, list) and _ints(one_based)):
-            raise ValueError(f"entry {e!r}: idx must hold integers")
-        idx = tuple(i - 1 for i in one_based)
-        if idx not in pos:
-            if tuple(sorted(idx)) in pos:
-                raise ValueError(f"idx {one_based} is not sorted non-decreasingly")
-            raise ValueError(f"idx {one_based} out of range for p={p}, N={N}")
-        j = pos[idx]
-        re, im = e.get("re", 0.0), e.get("im", 0.0)
-        if not _numbers((re, im)):
-            raise ValueError(f"re and im must be numbers, got re={re!r} im={im!r}")
-        if info.dim_factor == 1:
-            if len(rows) == 1 and im != 0.0:
-                raise ValueError(f"{tag} tensors are real; drop the 'im' field")
-            arr[0, j] = re
-            if len(rows) > 1:
-                arr[1, j] = im
-            continue
-        if im != 0.0:
-            raise ValueError("self-dual components are real; drop the 'im' field")
-        eps = e.get("eps", [])
-        if not (isinstance(eps, list) and _ints(eps) and tuple(eps) in rows):
-            raise ValueError(f"eps must be a length-{info.slots(p)} list over "
-                             f"0..{len(info.units) - 1}, got {eps!r}")
-        arr[rows[tuple(eps)], j] = re
+    # Each check runs once over whole lists, in the order the checks apply to
+    # one entry.  A failure keeps only the entries before it, so each check
+    # sees entries that passed the earlier ones, and the first bad entry wins.
+    n, error = len(raw_entries), None
+
+    def refuse(ok: bool, bad, message) -> None:
+        """Unless ``ok``, cut the entries at the first true item of ``bad``."""
+        nonlocal n, error
+        j = n if ok else next(compress(count(), bad), n)
+        if j < n:
+            n, error = j, message(j)
+
+    def outside(j):
+        return f"idx {idx[j]} out of range for p={p}, N={N}"
+
+    idx = [e.get("idx") if type(e) is dict else None for e in raw_entries]
+    refuse({list}.issuperset(map(type, idx)) and _ints(chain.from_iterable(idx)),
+           (type(i) is not list or not _ints(i) for i in idx),
+           lambda j: f"entry {raw_entries[j]!r}: idx must hold integers")
+    idx = idx[:n]
+    refuse({p}.issuperset(map(len, idx)), (len(i) != p for i in idx), outside)
+    # an integer past int64 makes a float or object array, which compares alike
+    a = np.array(list(chain.from_iterable(idx[:n]))).reshape(-1, p)
+    refuse(False, ((a[:, 0] < 1) | (a[:, -1] > N) | (a[:, 1:] < a[:, :-1]).any(axis=1)).tolist(),
+           lambda j: outside(j) if min(idx[j]) < 1 or max(idx[j]) > N
+           else f"idx {idx[j]} is not sorted non-decreasingly")
+    kept = raw_entries[:n]
+    re, im = [e.get("re", 0.0) for e in kept], [e.get("im", 0.0) for e in kept]
+    refuse(_numbers(re) and _numbers(im), (not _numbers(v) for v in zip(re, im)),
+           lambda j: f"re and im must be numbers, got re={re[j]!r} im={im[j]!r}")
+    re_rows = 0
+    if len(rows) == 1:
+        refuse(False, im, lambda j: f"{tag} tensors are real; drop the 'im' field")
+    elif info.dim_factor != 1:
+        refuse(False, im, lambda j: "self-dual components are real; drop the 'im' field")
+        eps = [e.get("eps", []) for e in kept]
+        re_rows = [rows.get(tuple(x)) if type(x) is list and _ints(x) else None for x in eps]
+        refuse(False, (c is None for c in re_rows),
+               lambda j: f"eps must be a length-{info.slots(p)} list over "
+                         f"0..{len(info.units) - 1}, got {eps[j]!r}")
+    if error is not None:
+        raise ValueError(error)
+    _, keys = _class_table(p, N)
+    k = np.searchsorted(keys, np.ravel_multi_index(tuple(a.astype(np.intp).T - 1), (N,) * p))
+    arr = np.zeros((len(rows), len(keys)))
+    # numpy assigns a repeated position in order, so the last entry wins
+    arr[re_rows, k] = _doubles(re)
+    if info.dim_factor == 1 and len(rows) > 1:
+        arr[1, k] = _doubles(im)
     if not np.isfinite(arr).all():
         c, j = np.argwhere(~np.isfinite(arr))[0]
         field = "im" if info.dim_factor == 1 and c == 1 else "re"

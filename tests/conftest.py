@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import json
 import math
 import os
 import tempfile
@@ -11,10 +12,14 @@ from hypothesis import settings
 
 from gte.invariants import _check_compatible, _real_part, _slot_labels
 from gte.tensor import (
+    CLASS_TAGS,
     CanonicalTensor,
+    canonical_indices,
     class_count,
     component_is_symmetric,
     multiplicities,
+    _class_info,
+    _class_positions,
 )
 
 
@@ -122,3 +127,99 @@ def constant_sampler(t: CanonicalTensor):
         return t
 
     return draw
+
+
+# The per-entry tensor codec that :func:`gte.serialize.dumps_tensor` and
+# :func:`gte.serialize.loads_tensor` replaced, kept as their oracle: the
+# writer's bytes and the reader's arrays and error messages must equal these.
+
+def _ints(xs) -> bool:
+    """True when every item is a JSON integer: not a float, not a bool."""
+    return {int}.issuperset(map(type, xs))
+
+
+def _numbers(xs) -> bool:
+    """True when every item is a JSON number: an integer or a float, not a bool."""
+    return {int, float}.issuperset(map(type, xs))
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(", ", ": "), allow_nan=False)
+
+
+def oracle_dumps_tensor(t: CanonicalTensor) -> str:
+    info = _class_info(t.class_tag)
+    entries = []
+    classes = canonical_indices(t.p, t.N)
+    if info.dim_factor == 1:
+        # scalar units: the components are the real and imaginary parts
+        re = t.array[0].tolist()
+        im = t.array[1].tolist() if len(t.array) > 1 else [0.0] * len(re)
+        for m, x, y in zip(classes, re, im):
+            if x == 0.0 and y == 0.0:
+                continue
+            e = {"idx": [i + 1 for i in m], "re": x}
+            if y != 0.0:
+                e["im"] = y
+            entries.append(e)
+    else:
+        # storage order is the sorted order of the labels
+        for eps, row in zip(info.keys(t.p), t.array.tolist()):
+            for m, x in zip(classes, row):
+                if x != 0.0:
+                    entries.append({"idx": [i + 1 for i in m], "re": x, "eps": list(eps)})
+    return _dumps({"class": t.class_tag, "p": t.p, "N": t.N, "entries": entries})
+
+
+def oracle_loads_tensor(s: str) -> CanonicalTensor:
+    d = json.loads(s)
+    try:
+        tag, p, N = d["class"], d["p"], d["N"]
+        raw_entries = d["entries"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"tensor object must have class/p/N/entries: missing {exc}")
+    if tag not in CLASS_TAGS:
+        raise ValueError(f"unknown tensor class {tag!r}")
+    if not (_ints((p, N)) and p >= 1 and N >= 1):
+        raise ValueError(f"p and N must be positive integers, got p={p!r} N={N!r}")
+    info = _class_info(tag)
+    info.check_shape(p, N, f"{tag} tensors")
+    rows = info.rows(p)
+    pos = _class_positions(p, N)
+    arr = np.zeros((len(rows), len(pos)))
+    if not isinstance(raw_entries, list):
+        raise ValueError(f"entries must be a list, got {raw_entries!r}")
+    for e in raw_entries:
+        one_based = e.get("idx") if isinstance(e, dict) else None
+        if not (isinstance(one_based, list) and _ints(one_based)):
+            raise ValueError(f"entry {e!r}: idx must hold integers")
+        idx = tuple(i - 1 for i in one_based)
+        if idx not in pos:
+            if tuple(sorted(idx)) in pos:
+                raise ValueError(f"idx {one_based} is not sorted non-decreasingly")
+            raise ValueError(f"idx {one_based} out of range for p={p}, N={N}")
+        j = pos[idx]
+        re, im = e.get("re", 0.0), e.get("im", 0.0)
+        if not _numbers((re, im)):
+            raise ValueError(f"re and im must be numbers, got re={re!r} im={im!r}")
+        if info.dim_factor == 1:
+            if len(rows) == 1 and im != 0.0:
+                raise ValueError(f"{tag} tensors are real; drop the 'im' field")
+            arr[0, j] = re
+            if len(rows) > 1:
+                arr[1, j] = im
+            continue
+        if im != 0.0:
+            raise ValueError("self-dual components are real; drop the 'im' field")
+        eps = e.get("eps", [])
+        if not (isinstance(eps, list) and _ints(eps) and tuple(eps) in rows):
+            raise ValueError(f"eps must be a length-{info.slots(p)} list over "
+                             f"0..{len(info.units) - 1}, got {eps!r}")
+        arr[rows[tuple(eps)], j] = re
+    if not np.isfinite(arr).all():
+        c, j = np.argwhere(~np.isfinite(arr))[0]
+        field = "im" if info.dim_factor == 1 and c == 1 else "re"
+        idx = [i + 1 for i in canonical_indices(p, N)[j]]
+        raise ValueError(f"entry with idx {idx}: {field} must be finite, "
+                         f"got {float(arr[c, j])!r}")
+    return CanonicalTensor(tag, p, N, arr)

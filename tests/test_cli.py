@@ -298,6 +298,23 @@ def test_non_finite_tensor_values_are_input_errors(tmp_path, capsys, value):
     assert captured.err == 2 * msg
 
 
+@pytest.mark.parametrize("entry,msg", [
+    # a 401-digit integer: json reads it exactly, past the double range
+    ('{"idx": [1, 2], "re": 1' + "0" * 400 + "}",
+     "entry with idx [1, 2]: re must be finite, got inf"),
+    ('{"idx": [1, 99999999999999999999], "re": 1.0}',
+     "idx [1, 99999999999999999999] out of range for p=2, N=2"),
+])
+def test_oversized_integers_are_input_errors(tmp_path, capsys, entry, msg):
+    path = str(tmp_path / "t.ndjson")
+    Path(path).write_text(f'{{"class": "sym", "p": 2, "N": 2, "entries": [{entry}]}}\n')
+    assert run(["act", "--haar", "--seed", "1", "--tensor", path]) == 2
+    assert run(["invariant", "--melon", "--tensor", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 2 * f"gte: bad tensor file {path}: {msg}\n"
+
+
 def test_graph_check_refuses_fractional_edge_slots(tmp_path, capsys):
     d = json.loads(dumps_graph(melon_graph(2)))
     d["edges"][0][0] = [0.9, 1.7]
