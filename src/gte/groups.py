@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import CanonicalTensor, canonicalize, densify, _class_info
+from .tensor import CanonicalTensor, canonicalize, densify, _class_info, _empty
 
 __all__ = [
     "FLAVORS",
@@ -270,11 +270,16 @@ def _act_stack(flavor: str, mats: np.ndarray, dense: np.ndarray, p: int) -> np.n
     B, dim = len(mats), mats.shape[-1]
     if dense.shape[1:] != (dim,) * p:
         raise ValueError(f"expected a tensor of shape {(dim,) * p}, got {dense.shape[1:]}")
-    for mat in _leg_matrices(flavor, mats, p):
+    # the legs alternate between two buffers, the last landing in bufs[0]
+    dtype = np.promote_types(dense.dtype, mats.dtype)
+    bufs = [_empty(dense.shape, dtype) for _ in range(min(p, 2))]
+    for t, mat in enumerate(_leg_matrices(flavor, mats, p)):
         # Contracting the leading leg and appending the new one last keeps
         # the legs in order once all p contractions have run.
-        dense = dense.reshape(B, dim, -1).swapaxes(1, 2) @ mat
-    return dense.reshape((B,) + (dim,) * p)
+        out = bufs[(p - 1 - t) % 2]
+        np.matmul(dense.reshape(B, dim, -1).swapaxes(1, 2), mat, out=out.reshape(B, -1, dim))
+        dense = out
+    return dense
 
 
 def act(g: GroupElement, t: CanonicalTensor) -> CanonicalTensor:

@@ -69,6 +69,10 @@ ALPHA = 0.01
 MIN_SAMPLES = 100
 Z_BOUND = 4.0
 MAX_COORDS = 64
+#: gaussianity refuses more live (nonzero-variance) canonical entries than
+#: this, before any draw: its pairwise correlation family has m(m - 1)/2
+#: subtests, 523 776 at the bound
+MAX_LIVE_ENTRIES = 1024
 #: bytes of dense tensors one chunk of the stacked pipeline holds
 _CHUNK_BYTES = 1 << 22
 #: paired values closer than this, relative to their size, count as equal
@@ -299,10 +303,14 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
         reference = sampler
     if reference is None:
         raise ValueError("a callable sampler needs reference= for theoretical moments")
+    mu, var = _entry_moments(reference)
+    m = int(np.count_nonzero(var))
+    if m > MAX_LIVE_ENTRIES:
+        raise ValueError(f"gaussianity would test m = {m} live entries ({m * (m - 1) // 2} "
+                         f"correlation pairs), above the limit of {MAX_LIVE_ENTRIES}")
 
     X = np.concatenate([vals.reshape(len(vals), -1)
                         for *_, vals, _ in _draws(sampler, seed, n_samples)])
-    mu, var = _entry_moments(reference)
     if X.shape[1] != mu.size:
         raise ValueError(f"sampler produced {X.shape[1]} entries, reference "
                          f"ensemble has {mu.size}")

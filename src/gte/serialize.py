@@ -34,7 +34,8 @@ import numpy as np
 
 from .groups import FLAVORS, GroupElement
 from .invariants import TraceGraph
-from .tensor import CLASS_TAGS, CanonicalTensor, canonical_indices, _canonical_rows, _class_info
+from .tensor import (CLASS_TAGS, CanonicalTensor, canonical_indices, _canonical_flat,
+                     _canonical_rows, _class_info)
 
 __all__ = [
     "dumps_graph",
@@ -71,16 +72,13 @@ def _dumps(obj) -> str:
 
 
 @lru_cache(maxsize=None)
-def _class_table(p: int, N: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Per canonical class: the text of its entry up to the "re" value, and
-    the flat dense position of its tuple (ascending)."""
-    rows = _canonical_rows(p, N)
-    return (tuple('{"idx": %s, "re": ' % m for m in (rows.astype(int) + 1).tolist()),
-            np.ravel_multi_index(tuple(rows.T), (N,) * p))
+def _class_table(p: int, N: int) -> tuple[str, ...]:
+    """Per canonical class: the text of its entry up to the "re" value."""
+    return tuple('{"idx": %s, "re": ' % m for m in (_canonical_rows(p, N).astype(int) + 1).tolist())
 
 
 def dumps_tensor(t: CanonicalTensor) -> str:
-    (pre, _), arr, info = _class_table(t.p, t.N), t.array, _class_info(t.class_tag)
+    pre, arr, info = _class_table(t.p, t.N), t.array, _class_info(t.class_tag)
     if info.dim_factor == 1:
         # scalar units: the components are the real and imaginary parts
         k = np.flatnonzero(arr.any(axis=0))
@@ -155,7 +153,7 @@ def loads_tensor(s: str) -> CanonicalTensor:
                          f"0..{len(info.units) - 1}, got {eps[j]!r}")
     if error is not None:
         raise ValueError(error)
-    _, keys = _class_table(p, N)
+    keys = _canonical_flat(p, N)
     k = np.searchsorted(keys, np.ravel_multi_index(tuple(a.astype(np.intp).T - 1), (N,) * p))
     arr = np.zeros((len(rows), len(keys)))
     # numpy assigns a repeated position in order, so the last entry wins

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -129,6 +131,50 @@ def _check_dense_size(p: int, N: int, dim_factor: int = 1, units: bool = False) 
                          "split each leg in two, so a stack needs 2p + 1 of numpy's 64 axes")
 
 
+#: Arrays of at least this many bytes from ``_empty`` are views of recycled
+#: anonymous mappings; smaller ones are plain ``np.empty``.
+_SLAB_MIN_BYTES = 1 << 20
+#: Free slab bytes kept for reuse; a slab released above it is unmapped.
+_SLAB_CAP_BYTES = 64 << 20
+#: page-rounded slab size -> its free slabs
+_free_slabs: dict[int, list[mmap.mmap]] = {}
+#: bytes of slabs that live arrays hold: now, and the most at once
+_slab_bytes = {"live": 0, "peak": 0}
+
+
+def _empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """``np.empty(shape, dtype)``, but an array of ``_SLAB_MIN_BYTES`` or
+    more is a view of an anonymous mapping that goes back to a free list
+    when its last view dies, so the next array of its size reuses pages
+    that are already mapped instead of faulting in fresh ones."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _SLAB_MIN_BYTES or dtype.hasobject:
+        return np.empty(shape, dtype)
+    size = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    # list.pop and list.append are atomic, so no slab is handed out twice
+    # even across threads; the byte counts are diagnostics only
+    try:
+        slab = _free_slabs[size].pop()
+    except (KeyError, IndexError):
+        slab = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    # every view's .base is this array (numpy stops at a non-ndarray base),
+    # so it dies, and the slab is released, with the last view
+    whole = np.frombuffer(slab, np.uint8)
+    weakref.finalize(whole, _release_slab, slab, size).atexit = False
+    _slab_bytes["live"] += size
+    _slab_bytes["peak"] = max(_slab_bytes["peak"], _slab_bytes["live"])
+    return whole[:nbytes].view(dtype).reshape(shape)
+
+
+def _release_slab(slab: mmap.mmap, size: int) -> None:
+    """Keep a slab whose last view has died for reuse, up to the cap."""
+    _slab_bytes["live"] -= size
+    kept = sum(k * len(v) for k, v in _free_slabs.items())
+    if kept + size <= _SLAB_CAP_BYTES:
+        _free_slabs.setdefault(size, []).append(slab)
+
+
 @lru_cache(maxsize=None)
 def _canonical_rows(p: int, N: int) -> np.ndarray:
     """The (K, p) table whose row k is canonical tuple k: the non-decreasing
@@ -214,32 +260,61 @@ def paired_half_multiplicities(p: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _dense_tables(p: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables between dense positions and canonical classes.
+def _canonical_flat(p: int, N: int) -> np.ndarray:
+    """Flat dense position of each canonical tuple, ascending (read-only)."""
+    return _read_only(np.ravel_multi_index(tuple(_canonical_rows(p, N).T), (N,) * p))
 
-    Returns ``(cls, sgn, rep)`` where ``cls[flat]`` is the canonical class
-    of the flat dense position, ``sgn[flat]`` the sign of the sorting
-    permutation (0 on repeated indices) and ``rep[k]`` the flat dense
-    position of class k's representative tuple.
+
+def _sort_classes(tuples: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical class and sorting sign (0 on repeated indices) of each
+    column of an (m, M) table of index tuples, m >= 1."""
+    odd = np.zeros(tuples.shape[1], dtype=bool)
+    for a, b in itertools.combinations(range(len(tuples)), 2):
+        odd ^= tuples[a] > tuples[b]
+    srt = np.sort(tuples, axis=0)
+    sgn = np.where(odd, np.int8(-1), np.int8(1))
+    sgn[(srt[1:] == srt[:-1]).any(axis=0)] = 0
+    flat = np.ravel_multi_index(tuple(srt), (N,) * len(tuples))
+    return np.searchsorted(_canonical_flat(len(tuples), N), flat), sgn
+
+
+@lru_cache(maxsize=None)
+def _dense_tables(p: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factored lookup tables from dense positions to canonical classes.
+
+    A flat dense position is ``a * N**q + b``: a head ``a`` over the first h
+    legs and a tail ``b`` over the last q.  Returns ``(head, cls, sgn)``:
+    ``head[a] = k + K' * odd``, where k is the canonical class of head a
+    among the K' canonical h-tuples and odd the parity of its sorting
+    permutation.  ``cls[k, b]`` is the canonical class of the whole tuple
+    and ``sgn[head[a], b]`` its sorting sign (0 on repeated indices): rows
+    K' and up of ``sgn`` are rows 0..K'-1 negated, so a dense sign is one
+    table entry.  The tables hold N**h + 3 K' N**q entries, about
+    3 N**p / h! at large N, where one dense table held N**p.
     """
     _check_dense_size(p, N)
-    # column j of idx is the index tuple at flat position j
-    idx = np.indices((N,) * p, dtype=np.min_scalar_type(N - 1)).reshape(p, -1)
-    odd, unsorted = np.zeros((2, idx.shape[1]), dtype=bool)
-    for a, b in itertools.combinations(range(p), 2):
-        inverted = idx[a] > idx[b]
-        odd ^= inverted
-        unsorted |= inverted
-    idx.sort(axis=0)
-    sgn = np.where(odd, np.int8(-1), np.int8(1))
-    sgn[(idx[1:] == idx[:-1]).any(axis=0)] = 0
-    # the sorted tuples in ascending flat position are the canonical ones
-    # in lexicographic order
-    rep = np.flatnonzero(~unsorted)
-    cls = np.searchsorted(rep, np.ravel_multi_index(tuple(idx), (N,) * p))
-    for arr in (cls, sgn, rep):
-        arr.setflags(write=False)
-    return cls, sgn, rep
+    # about a third of the legs in the tail keeps both tables small; the
+    # head keeps at least one leg
+    q = min(p - 1, max(1, p // 3))
+    h = p - q
+    heads = _canonical_rows(h, N).T                                 # (h, K')
+    tails = np.indices((N,) * q, heads.dtype).reshape(q, N ** q)    # (q, N**q)
+    code, head_sgn = _sort_classes(np.indices((N,) * h, heads.dtype).reshape(h, N ** h), N)
+    code[head_sgn < 0] += heads.shape[1]
+    # column k * N**q + b: canonical head k followed by tail b
+    cls, sgn = _sort_classes(np.concatenate([np.repeat(heads, tails.shape[1], axis=1),
+                                             np.tile(tails, heads.shape[1])]), N)
+    cls, sgn = cls.reshape(heads.shape[1], -1), sgn.reshape(heads.shape[1], -1)
+    return _read_only(code), _read_only(cls), _read_only(np.concatenate([sgn, -sgn]))
+
+
+@lru_cache(maxsize=None)
+def _pair_signs(tag: str, p: int, N: int) -> np.ndarray:
+    """Per component, the sign of each (head code, tail) pair of
+    ``_dense_tables``: its ``sgn`` for an antisymmetric component, 1 for a
+    symmetric one (read-only)."""
+    anti = _class_info(tag).antisymmetric_rows(p)
+    return _read_only(np.where(anti[:, None, None], _dense_tables(p, N)[2], np.int8(1)))
 
 
 def component_is_symmetric(eps: tuple[int, ...]) -> bool:
@@ -509,21 +584,42 @@ def densify(t: CanonicalTensor) -> np.ndarray:
 def _densify_stack(info: _TensorClass, p: int, N: int, vals: np.ndarray) -> np.ndarray:
     """Dense forms of a stack of tensors: (B, C, K) canonical values, the
     components of each in storage order, to (B, D, ..., D)."""
-    cls, sgn, _ = _dense_tables(p, N)
+    head, cls, _ = _dense_tables(p, N)
     B, C, K = vals.shape
-    # one row gathers fastest as a vector, several as one 2-D gather
-    parts = (vals[0, 0][cls] if B * C == 1 else vals.reshape(-1, K)[:, cls]).reshape(B, C, -1)
-    anti = info.antisymmetric_rows(p)
-    if anti.any():
-        parts[:, anti] *= sgn
+    # The value of every (canonical head, tail) pair, then one row of that
+    # table per dense head.  Only antisymmetric rows need the signed rows
+    # K' and up, a second copy of the first K'; without them, head codes
+    # past K' wrap to the first K'.
+    signed = info.antisymmetric_rows(p).any()
+    rows = np.concatenate([cls, cls]) if signed else cls
+    if B * C == 1:      # one row gathers fastest as a vector
+        pairs = vals[0, 0][rows][None]
+    else:
+        # complex classes are cast here, on the canonical values: the unit
+        # product below would otherwise cast a dense-sized stack
+        vals = vals.reshape(B * C, K).astype(float if info.units is None else complex, copy=False)
+        pairs = vals.take(rows, 1, _empty((B * C,) + rows.shape, vals.dtype), "wrap")
+    if signed:
+        # one int8 product per value, 1 on symmetric rows; imaginary parts stay +0
+        real = pairs.real.reshape((B, C) + rows.shape)
+        np.multiply(real, _pair_signs(info.tag, p, N), out=real)
+    parts = _empty((B, C, N ** p), pairs.dtype)
+    # mode="wrap" also lets take write straight into out, not into a buffer
+    pairs.take(head, 1, parts.reshape(B * C, len(head), -1), "wrap")
     if info.units is None:
         return parts.reshape((B,) + (N,) * p)
     # out[b, i, iota]: i runs over component positions, iota over unit
     # positions; interleave them so that leg t indexes as f * i_t + iota_t
     f = info.dim_factor
-    out = parts.swapaxes(1, 2) @ info.dense_units(p)
+    out = np.matmul(parts.swapaxes(1, 2), info.dense_units(p),
+                    out=_empty((B, N ** p, f ** p), complex))
+    if f == 1:
+        return out.reshape((B,) + (N,) * p)
     legs = [0] + [1 + axis for leg in range(p) for axis in (leg, p + leg)]
-    return out.reshape((B,) + (N,) * p + (f,) * p).transpose(legs).reshape((B,) + (f * N,) * p)
+    del parts   # the dense array is its size, so it takes the freed slab
+    dense = _empty((B,) + (N, f) * p, complex)
+    np.copyto(dense, out.reshape((B,) + (N,) * p + (f,) * p).transpose(legs))
+    return dense.reshape((B,) + (f * N,) * p)
 
 
 def frobenius_norm_sq(t: CanonicalTensor) -> float:
@@ -598,8 +694,7 @@ def canonicalize(dense: np.ndarray, class_tag: str) -> CanonicalTensor:
         legs = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
         split = dense.reshape((N, f) * p).transpose(legs).reshape(N**p, f**p)
         parts = (split @ info.dense_units(p).conj().T / info.norm_sq(p)).T.real
-    _, _, rep = _dense_tables(p, N)
-    vals = parts[:, rep]
+    vals = parts[:, _canonical_flat(p, N)]
     vals[info.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N)] = 0.0
     out = CanonicalTensor(class_tag, p, N, vals)
     _check_class(dense, densify(out), f)

@@ -520,3 +520,12 @@ def test_console_script_matches_in_process(tmp_path, capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == want
+
+
+def test_verify_gaussianity_refuses_oversized_families(capsys):
+    code = run(["verify", "--suite", "gaussianity", "--kind", "gste", "--p", "14",
+                "--dim", "1", "--seed", "3", "--samples", "100"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m = 8128 live entries" in captured.err and "limit of 1024" in captured.err

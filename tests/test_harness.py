@@ -9,6 +9,7 @@ import pytest
 from gte.ensembles import EnsembleSpec, sample, _STREAM_BLOCK
 from gte.groups import flavor_for_class
 import gte.harness
+import gte.tensor
 from gte.harness import (
     ALPHA,
     MIN_SAMPLES,
@@ -107,14 +108,21 @@ def test_invariance_imaginary_invariant_is_compared_relative_to_its_size():
 
 def test_invariance_memory_is_bounded_by_the_tested_columns():
     # 1000 dense GSTE p=6 N=2 samples before and after rotation take
-    # 1000 * 2 * 4096 * 16 B = 131 MB; only 64 columns of them are tested
+    # 1000 * 2 * 4096 * 16 B = 131 MB; only 64 columns of them are tested.
+    # tracemalloc does not see the recycled mappings the stacked kernels
+    # write into, so their own peak of live bytes is added.  scipy.stats is
+    # imported first: loading it takes about 39 MB of tracemalloc, which
+    # counted only when this test ran before every other KS test.
+    from scipy import stats  # noqa: F401
+    slabs = gte.tensor._slab_bytes
+    live = slabs["peak"] = slabs["live"]
     tracemalloc.start()
     try:
         invariance_test(EnsembleSpec("GSTE", 6, 2), n_samples=1000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak + (slabs["peak"] - live) < 64 * 2**20
 
 
 def test_invariance_reports_are_reproducible_and_jsonable():
@@ -291,3 +299,32 @@ def test_draws_read_each_stream_in_numpys_order(sampler, n, sizes, haar):
                                       rng.standard_normal((_HAAR_READS[flavor], N, N)))
             i += 1
     assert i == n
+
+
+def test_gaussianity_refuses_too_many_live_entries_before_drawing(monkeypatch):
+    # GSTE p=14 N=1 has 8128 live entries: 33 million correlation pairs
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(gte.harness, "_draws", no_draws)
+    with pytest.raises(ValueError, match=r"m = 8128 live entries .*limit of 1024"):
+        gaussianity_independence_test(EnsembleSpec("GSTE", 14, 1), n_samples=100, seed=3)
+
+
+@pytest.mark.parametrize("kind,p,N,live", [("GOTE", 2, 2, 3), ("GSTE", 10, 1, 496)])
+def test_gaussianity_size_guard_admits_up_to_the_bound(monkeypatch, kind, p, N, live):
+    class Drew(Exception):
+        pass
+
+    def drew(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(gte.harness, "_draws", drew)
+    spec = EnsembleSpec(kind, p, N)
+    for bound in (gte.harness.MAX_LIVE_ENTRIES, live):
+        monkeypatch.setattr(gte.harness, "MAX_LIVE_ENTRIES", bound)
+        with pytest.raises(Drew):
+            gaussianity_independence_test(spec, n_samples=100)
+    monkeypatch.setattr(gte.harness, "MAX_LIVE_ENTRIES", live - 1)
+    with pytest.raises(ValueError, match=f"m = {live} live entries"):
+        gaussianity_independence_test(spec, n_samples=100)

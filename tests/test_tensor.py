@@ -30,6 +30,7 @@ from gte.tensor import (
     sort_with_sign,
     unflatten_isometry,
     zeros,
+    _canonical_flat,
     _check_dense_size,
     _class_info,
     _dense_tables,
@@ -110,10 +111,15 @@ def _dense_tables_loop(p, N):
 @pytest.mark.parametrize("p,N", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 4),
                                  (5, 3), (6, 2), (6, 5), (6, 8)])
 def test_dense_tables_match_the_loop(p, N):
-    for got, want in zip(_dense_tables(p, N), _dense_tables_loop(p, N)):
+    head, cls, sgn = _dense_tables(p, N)
+    # row head[a] of the factored tables is the tail of every dense
+    # position whose head is a; the class rows are not repeated for the sign
+    expanded = (cls[head % len(cls)].reshape(-1), sgn[head].reshape(-1), _canonical_flat(p, N))
+    for got, want in zip(expanded, _dense_tables_loop(p, N)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-        assert not got.flags.writeable
+    for table in (head, cls, sgn, _canonical_flat(p, N)):
+        assert not table.flags.writeable
 
 
 def _class_tables_loop(p, N):
