@@ -35,7 +35,6 @@ from .invariants import (  # noqa: F401
     enumerate_rank2,
     evaluate,
     melon_graph,
-    paired_trace,
 )
 from .ensembles import (  # noqa: F401
     EnsembleSpec,

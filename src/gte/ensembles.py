@@ -3,17 +3,17 @@ GSTE (self-dual hermitian).
 
 Sampling happens directly in canonical storage -- one Gaussian draw per
 canonical index class and component, never by symmetrizing dense i.i.d.
-entries -- so the independence-up-to-symmetry structure is exact.  The
-per-class standard deviations follow from the density exponents:
+entries -- so the independence-up-to-symmetry structure is exact.
 
-    kind    density exponent               entry variance
-    GOTE    -||H - bI||^2 / (2 p gamma)    gamma p / Gamma
-    GUTE    -||H - bI||^2 / (p gamma)      gamma p / (2 Gamma)   per part
-    GSTE    -2||H - bI||^2 / (p gamma)     gamma p / (4 Gamma)   per component
-
-where Gamma is the multiplicity of the class.  The shift beta enters through
-the identity tensor on the symmetric real component (H^(0), resp. Q^(0));
-antisymmetric parts are mean zero and live only on all-distinct classes.
+Each ensemble is N(beta I, s P_V) on its tensor class V, with density
+proportional to exp(-||H - beta I||_F^2 / (2 s)) and scale
+s = gamma p norm_sq(p) / c, where c = 1, 2, 4 for GOTE, GUTE, GSTE.  One rule
+follows: a live canonical value of Frobenius weight w (see
+``_TensorClass.coordinates``) has variance s / w.  The exponents read
+-||H - bI||^2 / (2 p gamma), -||H - bI||^2 / (p gamma) and
+-2||H - bI||^2 / (p gamma), where for GSTE ||.||^2 is ||.||_F^2 / 2^(p/2),
+the sum of the squared quaternion components.  The shift beta enters
+through the identity tensor on the lead component (H^(0), resp. Q^(0)).
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .tensor import (
     class_count,
     frobenius_norm_sq,
     identity_tensor,
-    multiplicities,
     shifted_by_identity,
     _class_info,
     _read_only,
-    _repeated_mask,
 )
 
 __all__ = [
@@ -46,8 +44,7 @@ __all__ = [
     "sample_batch",
 ]
 
-#: c in the per-entry variance gamma*p/(c*Gamma); the density exponent is
-#: -kappa * ||H - beta*I||^2 / gamma with kappa = c/(2p)
+#: c of each kind in its scale s = gamma p norm_sq(p) / c
 _C = {"GOTE": 1.0, "GUTE": 2.0, "GSTE": 4.0}
 
 KINDS = tuple(_C)
@@ -249,26 +246,34 @@ def _normal_block(rngs, count: int, width: int) -> np.ndarray:
     return out
 
 
+def _scale(spec: EnsembleSpec) -> float:
+    """s: every live canonical value has variance s / w, w its Frobenius weight."""
+    return spec.gamma * spec.p * _class_info(spec.class_tag).norm_sq(spec.p) / _C[spec.kind]
+
+
+def _moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, K) mean and variance of a draw's canonical values: beta*I on
+    the lead row, and s / w on the live values, 0 elsewhere."""
+    live, w = _class_info(spec.class_tag).coordinates(spec.p, spec.N)
+    mean = np.zeros(live.shape)
+    if spec.beta:
+        mean[0] = spec.beta * identity_tensor(spec.p, spec.N).values
+    return mean, np.where(live, _scale(spec) / w, 0.0)
+
+
 def _canonical_values(spec: EnsembleSpec, normals: np.ndarray) -> np.ndarray:
-    """(B, C, K) standard normals to the canonical values of B draws: scaled
-    by the class sigmas, shifted by beta*I on the first component, and zero
-    on the repeated-index classes of the antisymmetric components."""
-    p, N = spec.p, spec.N
-    info = _class_info(spec.class_tag)
-    out = np.sqrt(spec.gamma * p / (_C[spec.kind] * multiplicities(p, N))) * normals
-    if spec.beta and not info.antisymmetric:
-        out[:, 0] += spec.beta * identity_tensor(p, N).values
-    anti = info.antisymmetric_rows(p)
-    if anti.any():
-        out[:, anti[:, None] & _repeated_mask(p, N)] = 0.0
-    return out
+    """(B, C, K) standard normals to the canonical values of B draws.  The
+    +0.0 mean turns the -0.0 of a dead value's sqrt(0) * z into +0.0."""
+    mean, var = _moments(spec)
+    return np.sqrt(var) * normals + mean
 
 
 def log_density_unnormalized(t: CanonicalTensor, spec: EnsembleSpec) -> float:
-    """log f(t) up to the normalizing constant: -kappa ||t - beta I||^2 / gamma.
+    """log f(t) up to the normalizing constant: -||t - beta I||_F^2 / (2 s),
+    the density of the law :func:`sample` draws.
 
-    The norm is the dense-form Frobenius norm, so the value is exactly 0 at
-    the mode t = beta*I and strictly negative elsewhere.
+    The value is exactly 0 at the mode t = beta*I and strictly negative
+    elsewhere.
     """
     if t.class_tag != spec.class_tag:
         raise ValueError(f"{spec.kind} density is defined on {spec.class_tag!r} "
@@ -277,23 +282,14 @@ def log_density_unnormalized(t: CanonicalTensor, spec: EnsembleSpec) -> float:
         raise ValueError(f"shape mismatch: spec has (p,N)=({spec.p},{spec.N}), "
                          f"tensor ({t.p},{t.N})")
     shifted = shifted_by_identity(t, -spec.beta) if spec.beta else t
-    kappa = _C[spec.kind] / (2 * spec.p)
-    return -kappa * frobenius_norm_sq(shifted) / spec.gamma
+    return -frobenius_norm_sq(shifted) / (2 * _scale(spec))
 
 
 def expected_frobenius_sq(spec: EnsembleSpec) -> float:
-    """Exact E||H||^2_F for the given ensemble (dense-form norm).
-
-    Sums Gamma * (variance + squared mean) over classes and components; for
-    GOTE(0, gamma) this collapses to gamma * p * C(N+p-1, p).
-    """
+    """Exact E||H||^2_F for the given ensemble (dense-form norm): s per live
+    canonical value plus ||beta I||_F^2; for GOTE(0, gamma) this is
+    gamma * p * C(N+p-1, p)."""
     p, N = spec.p, spec.N
     info = _class_info(spec.class_tag)
-    K = class_count(p, N)
-    D = int(np.sum(~_repeated_mask(p, N)))
-    var_unit = spec.gamma * p / _C[spec.kind]   # Gamma * variance
     mean_sq = spec.beta**2 * float(np.sum(identity_tensor(p, N).values))
-    # antisymmetric components live only on the all-distinct classes
-    n_anti = int(info.antisymmetric_rows(p).sum())
-    n_sym = len(info.keys(p)) - n_anti
-    return info.norm_sq(p) * (var_unit * (n_sym * K + n_anti * D) + mean_sq)
+    return _scale(spec) * int(info.coordinates(p, N)[0].sum()) + info.norm_sq(p) * mean_sq

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, _C, _canonical_values, _normal_block, _stream,
+from .ensembles import (EnsembleSpec, _canonical_values, _moments, _normal_block, _stream,
                         _streams, _value_shape)
 from .groups import (act_dense, givens_rotation, theta_derivative,
                      _act_stack, _check_members, _haar_matrices, _haar_normals, _haar_shape)
@@ -42,12 +42,10 @@ from .tensor import (
     canonicalize,
     class_count,
     densify,
-    multiplicities,
     shifted_by_identity,
     unflatten_isometry,
     _class_info,
     _densify_stack,
-    _repeated_mask,
 )
 
 __all__ = [
@@ -259,6 +257,7 @@ def invariance_test(sampler, flavor: str | None = None,
         norms = np.linalg.norm(d0.reshape(len(d0), -1), axis=1)
         for j, name in enumerate(tags):
             paired.setdefault(name, []).append((X0[:, j], X1[:, j], norms))
+        del d0, d1, mats    # before the next chunk is densified
 
     rows = []
     for name, chunks in paired.items():
@@ -274,17 +273,6 @@ def invariance_test(sampler, flavor: str | None = None,
             res = _ks_2samp(a, b)
             rows.append(("ks", name, res.statistic, res.pvalue))
     return _finish("invariance", rows, n_samples, seed)
-
-
-def _entry_moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Theoretical per-canonical-entry (mean, variance), components stacked
-    in storage order."""
-    p, N = spec.p, spec.N
-    info = _class_info(spec.class_tag)
-    shape = _value_shape(spec)
-    var = np.broadcast_to(spec.gamma * p / multiplicities(p, N) / _C[spec.kind], shape).copy()
-    var[info.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N)] = 0.0
-    return _canonical_values(spec, np.zeros((1,) + shape)).ravel(), var.ravel()
 
 
 def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
@@ -303,7 +291,7 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
         reference = sampler
     if reference is None:
         raise ValueError("a callable sampler needs reference= for theoretical moments")
-    mu, var = _entry_moments(reference)
+    mu, var = (a.ravel() for a in _moments(reference))
     m = int(np.count_nonzero(var))
     if m > MAX_LIVE_ENTRIES:
         raise ValueError(f"gaussianity would test m = {m} live entries ({m * (m - 1) // 2} "
@@ -396,7 +384,7 @@ def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0) -> Verification
     flats = []
     for tag, p_, N_, _, vals, _ in _draws(sampler, seed, n_samples):
         K = _sphere_dim(tag, p_, N_)
-        flats.append(np.sqrt(multiplicities(p_, N_)) * vals[:, 0])
+        flats.append(np.sqrt(_class_info(tag).coordinates(p_, N_)[1]) * vals[:, 0])
     X = np.concatenate(flats)
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):

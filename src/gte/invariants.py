@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import CanonicalTensor, densify, paired_half_multiplicities, _class_info
+from .tensor import CanonicalTensor, densify, _class_info
 
 __all__ = [
     "TraceGraph",
@@ -32,7 +32,6 @@ __all__ = [
     "enumerate_rank2",
     "evaluate",
     "melon_graph",
-    "paired_trace",
     "validate",
 ]
 
@@ -373,19 +372,3 @@ def _real_part(val: np.ndarray) -> np.ndarray:
         raise ValueError("real-flavor invariant has imaginary part "
                          f"{val.imag[bad][0]:.3e}")
     return val.real
-
-
-def paired_trace(t: CanonicalTensor) -> float:
-    """Sum of entries at (i1,i1,...,i_{p/2},i_{p/2}); 0 for p odd.
-
-    Equals the bouquet-graph invariant.  Computed from canonical storage:
-    each paired class contributes its entry times the number of half-index
-    tuples hitting it, and only the symmetric component survives (the
-    antisymmetric ones vanish on paired indices; for self-dual tensors the
-    2x2 units trace to 2*delta_{e0}, giving a 2^{p/2} factor on Q^(0)).
-    """
-    info = _class_info(t.class_tag)
-    if t.p % 2 or info.antisymmetric:
-        return 0.0
-    vals = t.array[0] * info.norm_sq(t.p)
-    return float(np.sum(paired_half_multiplicities(t.p, t.N) * vals))

@@ -55,7 +55,6 @@ __all__ = [
     "frobenius_norm_sq",
     "identity_tensor",
     "multiplicities",
-    "paired_half_multiplicities",
     "paired_mask",
     "shifted_by_identity",
     "sort_with_sign",
@@ -247,19 +246,6 @@ def _repeated_mask(p: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def paired_half_multiplicities(p: int, N: int) -> np.ndarray:
-    """Per class: multiplicity of the half tuple for paired classes, else 0.
-
-    The half tuple of a paired class keeps each index value half as often.
-    Its multiplicity counts the ways (i_1, ..., i_{p/2}) can enumerate the
-    class as (i_1, i_1, ..., i_{p/2}, i_{p/2}), which is what a trace over
-    repeated index pairs sums.
-    """
-    half = _permutation_counts(_canonical_rows(p, N)[:, 0::2])
-    return _read_only(np.where(paired_mask(p, N), half, 0).astype(float))
-
-
-@lru_cache(maxsize=None)
 def _canonical_flat(p: int, N: int) -> np.ndarray:
     """Flat dense position of each canonical tuple, ascending (read-only)."""
     return _read_only(np.ravel_multi_index(tuple(_canonical_rows(p, N).T), (N,) * p))
@@ -397,6 +383,16 @@ class _TensorClass:
         """Squared Hilbert-Schmidt norm of every dense unit product."""
         return float(self.dim_factor) ** self.slots(p)
 
+    @lru_cache(maxsize=None)
+    def coordinates(self, p: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """The Frobenius coordinate table at (p, N), read-only: the (C, K)
+        mask of live canonical values, false on the repeated-index classes
+        of the antisymmetric components, where every tensor is zero, and
+        the (K,) weights w = norm_sq(p) * multiplicity, so that
+        ``||t||_F^2 = sum(w * t.array**2)`` over the live values."""
+        live = ~(self.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N))
+        return _read_only(live), _read_only(self.norm_sq(p) * multiplicities(p, N))
+
     def check_shape(self, p: int, N: int, what: str) -> None:
         """Refuse an order the class does not admit or an oversized dense form."""
         m, r = self.order
@@ -475,7 +471,7 @@ class CanonicalTensor:
                 arr[rows[key]] = vals
         if not np.isfinite(arr).all():
             raise ValueError(f"{class_tag} values must be finite")
-        bad = np.argwhere(_repeated_mask(p, N) & (arr[info.antisymmetric_rows(p)] != 0.0))
+        bad = np.argwhere((arr != 0.0) & ~info.coordinates(p, N)[0])
         if len(bad):
             m = canonical_indices(p, N)[bad[0, 1]]
             raise ValueError("antisymmetric component has a nonzero value on the "
@@ -625,25 +621,23 @@ def _densify_stack(info: _TensorClass, p: int, N: int, vals: np.ndarray) -> np.n
 def frobenius_norm_sq(t: CanonicalTensor) -> float:
     """Squared Frobenius norm: sum of |entry|^2 over all dense positions.
 
-    For self-dual tensors the dense form lives in dimension 2N and every
-    quaternion basis matrix contributes squared Hilbert-Schmidt norm 2, so
-    the component sum carries a factor 2**(p/2).
+    Each canonical value counts with its Frobenius weight; see
+    :meth:`_TensorClass.coordinates`.
     """
-    gam = multiplicities(t.p, t.N)
-    scale = _class_info(t.class_tag).norm_sq(t.p)
-    return float(scale * sum(np.sum(gam * vals**2) for vals in t.array))
+    _, w = _class_info(t.class_tag).coordinates(t.p, t.N)
+    return float(np.sum(w * t.array**2))
 
 
 def flatten_isometry(t: CanonicalTensor) -> np.ndarray:
     """Norm-preserving flattening of a symmetric tensor.
 
-    Each canonical value is scaled by the square root of its class
-    multiplicity, so the Euclidean norm of the result matches the tensor's
+    Each canonical value is scaled by the square root of its Frobenius
+    weight, so the Euclidean norm of the result matches the tensor's
     Frobenius norm.
     """
     if t.class_tag != "sym":
         raise ValueError("flatten_isometry expects a real-symmetric tensor")
-    return np.sqrt(multiplicities(t.p, t.N)) * t.values
+    return np.sqrt(_CLASSES["sym"].coordinates(t.p, t.N)[1]) * t.values
 
 
 def unflatten_isometry(vec: np.ndarray, p: int, N: int) -> CanonicalTensor:
@@ -652,7 +646,8 @@ def unflatten_isometry(vec: np.ndarray, p: int, N: int) -> CanonicalTensor:
     K = class_count(p, N)
     if vec.shape != (K,):
         raise ValueError(f"expected a vector of length {K}")
-    return CanonicalTensor("sym", p, N, {(): vec / np.sqrt(multiplicities(p, N))})
+    _, w = _CLASSES["sym"].coordinates(p, N)
+    return CanonicalTensor("sym", p, N, {(): vec / np.sqrt(w)})
 
 
 # -- canonicalization ----------------------------------------------------
@@ -695,7 +690,7 @@ def canonicalize(dense: np.ndarray, class_tag: str) -> CanonicalTensor:
         split = dense.reshape((N, f) * p).transpose(legs).reshape(N**p, f**p)
         parts = (split @ info.dense_units(p).conj().T / info.norm_sq(p)).T.real
     vals = parts[:, _canonical_flat(p, N)]
-    vals[info.antisymmetric_rows(p)[:, None] & _repeated_mask(p, N)] = 0.0
+    vals[~info.coordinates(p, N)[0]] = 0.0
     out = CanonicalTensor(class_tag, p, N, vals)
     _check_class(dense, densify(out), f)
     return out

@@ -74,6 +74,34 @@ def is_paired(indices):
     return all(c % 2 == 0 for c in Counter(tup).values())
 
 
+def live_mask(class_tag, p, N):
+    """The (C, K) canonical values a tensor of the class may hold nonzero:
+    all but the repeated-index classes (multiplicity < p!) of its
+    antisymmetric components.  The per-tuple oracle for the mask of
+    :meth:`gte.tensor._TensorClass.coordinates`."""
+    repeated = [multiplicity(m) < math.factorial(p) for m in canonical_indices(p, N)]
+    anti = [component_is_symmetric(key) == (class_tag == "antisym")
+            for key in _class_info(class_tag).keys(p)]
+    return np.array([[not (a and r) for r in repeated] for a in anti])
+
+
+def paired_trace(t):
+    """Sum of the entries at (i1, i1, ..., i_{p/2}, i_{p/2}); 0 for p odd.
+
+    The canonical-storage oracle for the bouquet invariant: each paired
+    class contributes its entry times the number of half-index tuples
+    hitting it, and only the symmetric lead component survives (the
+    antisymmetric ones vanish on paired indices; for self-dual tensors the
+    2x2 units trace to 2*delta_{e0}, giving a 2^{p/2} factor on Q^(0)).
+    """
+    info = _class_info(t.class_tag)
+    if t.p % 2 or info.antisymmetric:
+        return 0.0
+    # a sorted paired tuple is (j1, j1, j2, j2, ...): every other index is its half
+    half = [multiplicity(m[0::2]) if is_paired(m) else 0 for m in canonical_indices(t.p, t.N)]
+    return float(info.norm_sq(t.p) * np.dot(half, t.array[0]))
+
+
 def random_tensor(class_tag, p, N, rng):
     """A generic member of the class with standard-normal canonical entries
     (zeroed where the class forces zeros)."""

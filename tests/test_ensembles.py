@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import live_mask
 from gte.ensembles import (
     EnsembleSpec,
     expected_frobenius_sq,
@@ -14,8 +15,9 @@ from gte.ensembles import (
     _streams,
 )
 from gte.harness import _AUX
-from gte.invariants import paired_trace
+from gte.invariants import bouquet_graph, evaluate
 from gte.tensor import (
+    CanonicalTensor,
     canonical_indices,
     class_count,
     densify,
@@ -24,7 +26,13 @@ from gte.tensor import (
     multiplicities,
     shifted_by_identity,
     zeros,
+    _class_info,
 )
+
+
+def _bouquet(t):
+    """The bouquet invariant: the sum of the entries at (i1, i1, ..., i_{p/2}, i_{p/2})."""
+    return complex(evaluate(bouquet_graph(t.p, _class_info(t.class_tag).graph), t)).real
 
 
 def test_spec_validation():
@@ -214,12 +222,12 @@ def test_log_density_kind_checks():
 
 
 @pytest.mark.parametrize("kind,N,kappa", [
-    ("GOTE", 3, 1.0 / 4.0), ("GUTE", 2, 1.0 / 2.0), ("GSTE", 2, 1.0)])
+    ("GOTE", 3, 1.0 / 4.0), ("GUTE", 2, 1.0 / 2.0), ("GSTE", 2, 1.0 / 2.0)])
 def test_log_density_quadratic_expansion_at_p2(kind, N, kappa):
     """-kappa||t - beta I||^2/gamma = -a||t||^2 + b*Tr(t) + c with
     a = kappa/gamma, b = 2 kappa beta/gamma, c = -kappa beta^2 ||I||^2/gamma.
-    The cross term matches the paired trace because every paired class at
-    order 2 has trivial half-multiplicity."""
+    The cross term matches the bouquet invariant because every paired class
+    at order 2 has trivial half-multiplicity."""
     spec = EnsembleSpec(kind, 2, N, beta=0.6, gamma=0.9, seed=4)
     idn = shifted_by_identity(zeros(spec.class_tag, 2, N), 1.0)
     a = kappa / spec.gamma
@@ -227,13 +235,13 @@ def test_log_density_quadratic_expansion_at_p2(kind, N, kappa):
     c = -kappa * spec.beta ** 2 * frobenius_norm_sq(idn) / spec.gamma
     for t in sample_batch(spec, 10):
         lhs = log_density_unnormalized(t, spec)
-        rhs = -a * frobenius_norm_sq(t) + b * paired_trace(t) + c
+        rhs = -a * frobenius_norm_sq(t) + b * _bouquet(t) + c
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_log_density_quadratic_expansion_breaks_at_p4():
     """At order 4 the identity inner product weights paired classes by their
-    half-multiplicity, which the plain paired trace does not, so the same
+    half-multiplicity, which the bouquet invariant does not, so the same
     three-coefficient expansion no longer holds for beta != 0."""
     spec = EnsembleSpec("GOTE", 4, 2, beta=0.8, gamma=1.0, seed=6)
     kappa = 1.0 / 8.0
@@ -241,8 +249,26 @@ def test_log_density_quadratic_expansion_breaks_at_p4():
     c = -kappa * 0.8 ** 2 * frobenius_norm_sq(identity_tensor(4, 2))
     t = sample_batch(spec, 1)[0]
     lhs = log_density_unnormalized(t, spec)
-    rhs = -a * frobenius_norm_sq(t) + b * paired_trace(t) + c
+    rhs = -a * frobenius_norm_sq(t) + b * _bouquet(t) + c
     assert abs(lhs - rhs) > 1e-6
+
+
+@pytest.mark.parametrize("kind,p,N", [("GOTE", 3, 2), ("GUTE", 4, 2), ("GSTE", 2, 2),
+                                      ("GSTE", 6, 1)])
+def test_log_density_falls_by_half_per_standard_deviation(kind, p, N):
+    """The log density is that of the law sample() draws: one standard
+    deviation along any live canonical value lowers it by exactly 1/2.  The
+    variance is the sampler's gamma p / (c * multiplicity)."""
+    spec = EnsembleSpec(kind, p, N, beta=-0.7, gamma=1.3)
+    c = {"GOTE": 1.0, "GUTE": 2.0, "GSTE": 4.0}[kind]
+    sd = np.sqrt(spec.gamma * p / (c * multiplicities(p, N)))
+    mode = shifted_by_identity(zeros(spec.class_tag, p, N), spec.beta)
+    assert log_density_unnormalized(mode, spec) == 0.0
+    for row, k in np.argwhere(live_mask(spec.class_tag, p, N)):
+        x = mode.array.copy()
+        x[row, k] += sd[k]
+        step = CanonicalTensor(spec.class_tag, p, N, x)
+        assert log_density_unnormalized(step, spec) == pytest.approx(-0.5, rel=1e-12)
 
 
 def test_sampling_is_canonical_not_dense():

@@ -23,6 +23,7 @@ from gte.harness import (
     rotated_spike_sampler,
     sphere_sampler,
     uniform_entry_sampler,
+    _CHUNK_BYTES,
     _draws,
     _finish,
 )
@@ -123,6 +124,16 @@ def test_invariance_memory_is_bounded_by_the_tested_columns():
     finally:
         tracemalloc.stop()
     assert peak + (slabs["peak"] - live) < 64 * 2**20
+
+
+def test_invariance_drops_each_chunk_before_densifying_the_next():
+    # a GSTE p=6 N=2 chunk is 64 dense tensors, one 4 MiB slab each for the
+    # draws, their rotations and the action's second buffer; the previous
+    # chunk's stacks, kept alive, pushed the peak to 19.4 MB
+    slabs = gte.tensor._slab_bytes
+    live = slabs["peak"] = slabs["live"]
+    invariance_test(EnsembleSpec("GSTE", 6, 2), n_samples=200, seed=0)
+    assert slabs["peak"] - live <= 3 * _CHUNK_BYTES
 
 
 def test_invariance_reports_are_reproducible_and_jsonable():

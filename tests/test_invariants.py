@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import direct_sum, random_tensor
+from conftest import direct_sum, paired_trace, random_tensor
 from gte.groups import act_dense, flavor_for_class, haar_sample
 from gte.invariants import (
     TraceGraph,
@@ -13,7 +13,6 @@ from gte.invariants import (
     enumerate_rank2,
     evaluate,
     melon_graph,
-    paired_trace,
     validate,
 )
 from gte.tensor import densify, frobenius_norm_sq, identity_tensor

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import direct_sum
+from conftest import direct_sum, live_mask
+from gte.ensembles import KINDS, EnsembleSpec, _moments
 from gte.groups import GroupElement, act, haar_sample
 from gte.invariants import TraceGraph, evaluate
 from gte.serialize import dumps_tensor, loads_tensor
@@ -85,6 +86,45 @@ def test_wire_round_trip(tag, data):
     assert np.array_equal(_components(back), _components(t))
     assert np.array_equal(back.array, t.array)
     assert dumps_tensor(back) == wire
+
+
+def _shapes(tag, max_dense=1024):
+    """Every (p, N) of the class that ``tensors`` can draw."""
+    info = _class_info(tag)
+    m, r = info.order
+    return [(p, N) for p in range(1, 7) if p % m == r
+            for N in range(1, 4) if (info.dim_factor * N) ** p <= max_dense]
+
+
+@per_class
+@settings(max_examples=25)
+@given(data=st.data())
+def test_frobenius_weights_give_the_dense_norm(tag, data):
+    t = data.draw(tensors(tag))
+    live, w = _class_info(tag).coordinates(t.p, t.N)
+    dense = float(np.sum(np.abs(densify(t)) ** 2))
+    assert np.sum((w * t.array ** 2)[live]) == pytest.approx(dense, rel=1e-12)
+
+
+@per_class
+def test_live_mask_is_the_per_tuple_rule(tag):
+    for p, N in _shapes(tag):
+        live, w = _class_info(tag).coordinates(p, N)
+        assert np.array_equal(live, live_mask(tag, p, N)), (p, N)
+        assert not live.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_variance_times_weight_is_the_scale(kind):
+    for gamma in (1.0, 0.3, 2.5):
+        for p, N in _shapes(EnsembleSpec(kind, 2, 1).class_tag):
+            spec = EnsembleSpec(kind, p, N, beta=-0.4, gamma=gamma)
+            # s from the density exponents, -||H - beta I||_F^2 / (2 s)
+            s = gamma * p * {"GOTE": 1.0, "GUTE": 0.5, "GSTE": 2.0 ** (p // 2) / 4}[kind]
+            live, w = _class_info(spec.class_tag).coordinates(p, N)
+            _, var = _moments(spec)
+            np.testing.assert_allclose((var * w)[live], s, rtol=1e-15, atol=0)
+            assert np.all(var[~live] == 0.0), (p, N)
 
 
 @st.composite

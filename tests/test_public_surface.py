@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import gte
+import gte.invariants
 import gte.serialize
 import gte.tensor
 
@@ -21,9 +22,11 @@ def test_serialize_exports_the_string_codec():
 
 
 def test_per_tuple_helpers_are_not_exported():
-    # the class tables replace them: multiplicities(p, N)[k], paired_mask(p, N)[k]
-    for mod in (gte, gte.tensor):
-        assert not hasattr(mod, "multiplicity") and not hasattr(mod, "is_paired")
+    # the class tables replace them: multiplicities(p, N)[k], paired_mask(p, N)[k];
+    # the paired trace is the bouquet invariant, evaluate(bouquet_graph(p), t)
+    for mod in (gte, gte.invariants, gte.tensor):
+        for name in ("multiplicity", "is_paired", "paired_trace", "paired_half_multiplicities"):
+            assert not hasattr(mod, name), (mod.__name__, name)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -1,6 +1,5 @@
 """Canonical storage, multiplicities, dense forms, class projections."""
 
-import collections
 import itertools
 import json
 import math
@@ -24,7 +23,6 @@ from gte.tensor import (
     frobenius_norm_sq,
     identity_tensor,
     multiplicities,
-    paired_half_multiplicities,
     paired_mask,
     shifted_by_identity,
     sort_with_sign,
@@ -74,17 +72,6 @@ def test_is_paired():
     assert not is_paired((0, 0, 0))  # odd count
 
 
-def test_paired_half_multiplicities_oracle():
-    # p=4, N=2: paired classes (0,0,0,0), (0,0,1,1), (1,1,1,1)
-    idx = canonical_indices(4, 2)
-    half = paired_half_multiplicities(4, 2)
-    table = dict(zip(idx, half))
-    assert table[(0, 0, 0, 0)] == 1
-    assert table[(0, 0, 1, 1)] == 2  # 2!/(1!1!)
-    assert table[(1, 1, 1, 1)] == 1
-    assert table[(0, 0, 0, 1)] == 0  # unpaired
-
-
 def test_sort_with_sign():
     assert sort_with_sign((0, 1)) == ((0, 1), 1)
     assert sort_with_sign((1, 0)) == ((0, 1), -1)
@@ -126,17 +113,10 @@ def _class_tables_loop(p, N):
     """Reference: the class vectors built one canonical tuple at a time from
     the per-tuple oracles."""
     idx = tuple(itertools.combinations_with_replacement(range(N), p))
-
-    def half(m):
-        # each index value kept half as often
-        return tuple(j for j, c in sorted(collections.Counter(m).items())
-                     for _ in range(c // 2))
-
     return idx, [
         np.array([multiplicity(m) for m in idx], dtype=float),
         np.array([is_paired(m) for m in idx]),
         np.array([len(set(m)) < len(m) for m in idx]),
-        np.array([multiplicity(half(m)) if is_paired(m) else 0 for m in idx], dtype=float),
     ]
 
 
@@ -147,8 +127,7 @@ def test_class_tables_match_the_per_tuple_oracle(p, N):
     idx, want = _class_tables_loop(p, N)
     assert canonical_indices(p, N) == idx
     assert all(type(i) is int for m in canonical_indices(p, N) for i in m)
-    got = [multiplicities(p, N), paired_mask(p, N), _repeated_mask(p, N),
-           paired_half_multiplicities(p, N)]
+    got = [multiplicities(p, N), paired_mask(p, N), _repeated_mask(p, N)]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -164,7 +143,6 @@ def test_class_tables_closed_form_at_order_two():
     assert np.array_equal(multiplicities(2, N), np.where(diag, 1.0, 2.0))
     assert np.array_equal(paired_mask(2, N), diag)
     assert np.array_equal(_repeated_mask(2, N), diag)
-    assert np.array_equal(paired_half_multiplicities(2, N), np.where(diag, 1.0, 0.0))
 
 
 def test_dense_size_guard_is_arithmetic():
