@@ -231,17 +231,21 @@ def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(_value_shape(spec))
 
 
-def _normal_block(rngs, count: int, width: int) -> np.ndarray:
+def _normal_block(rngs, count: int, width: int, uniform: int = 0) -> np.ndarray:
     """The next ``count`` generators of ``rngs`` read into one (count, width)
-    array: row b holds the first ``width`` standard normals of generator b.
+    array: row b holds the first ``width`` standard normals of generator b,
+    or first ``uniform`` uniform [0, 1) values and then normals.
 
-    A stream is read once, whatever its row holds.  numpy's ziggurat keeps
-    no state between calls, so one read of a + b normals gives bit for bit
-    the values of a read of a followed by a read of b; a row can therefore
-    hold a draw's tensor normals followed by its Haar element's.
+    A row's normals are one read, whatever the row holds.  numpy's ziggurat
+    keeps no state between calls, so one read of a + b normals gives bit for
+    bit the values of a read of a followed by a read of b; a row can
+    therefore hold a draw's tensor normals followed by its Haar element's.
     """
     out = np.empty((count, width))
     for row, rng in zip(out, rngs):     # ``out`` first: zip stops before an extra next()
+        if uniform:
+            rng.random(out=row[:uniform])
+            row = row[uniform:]
         rng.standard_normal(out=row)
     return out
 
@@ -251,14 +255,15 @@ def _scale(spec: EnsembleSpec) -> float:
     return spec.gamma * spec.p * _class_info(spec.class_tag).norm_sq(spec.p) / _C[spec.kind]
 
 
+@lru_cache(maxsize=64)     # keyed by the whole spec, its seed too: bounded
 def _moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (C, K) mean and variance of a draw's canonical values: beta*I on
-    the lead row, and s / w on the live values, 0 elsewhere."""
+    """The (C, K) mean and variance of a draw's canonical values, read-only:
+    beta*I on the lead row, and s / w on the live values, 0 elsewhere."""
     live, w = _class_info(spec.class_tag).coordinates(spec.p, spec.N)
     mean = np.zeros(live.shape)
     if spec.beta:
         mean[0] = spec.beta * identity_tensor(spec.p, spec.N).values
-    return mean, np.where(live, _scale(spec) / w, 0.0)
+    return _read_only(mean), _read_only(np.where(live, _scale(spec) / w, 0.0))
 
 
 def _canonical_values(spec: EnsembleSpec, normals: np.ndarray) -> np.ndarray:

@@ -29,24 +29,17 @@ while the melon subtest doubles as an exact-invariance sanity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .ensembles import (EnsembleSpec, _canonical_values, _moments, _normal_block, _stream,
                         _streams, _value_shape)
 from .groups import (act_dense, givens_rotation, theta_derivative,
-                     _act_stack, _check_members, _haar_matrices, _haar_normals, _haar_shape)
+                     _act_stack, _check_members, _haar_matrices, _haar_shape)
 from .invariants import melon_graph, _evaluate_stack
-from .tensor import (
-    CanonicalTensor,
-    canonicalize,
-    class_count,
-    densify,
-    shifted_by_identity,
-    unflatten_isometry,
-    _class_info,
-    _densify_stack,
-)
+from .tensor import (CanonicalTensor, class_count, densify, identity_tensor, _canonical_rows,
+                     _class_info, _densify_stack)
 
 __all__ = [
     "ALPHA",
@@ -127,53 +120,62 @@ def report_to_dict(report: VerificationReport) -> dict:
 _AUX = 1 << 40
 
 
+@dataclass(frozen=True)
+class _Law:
+    """A law of (class_tag, p, N) tensors read in blocks, as the ensembles
+    are: each draw reads ``width`` values from its stream -- standard
+    normals, or uniform [0, 1) values for a ``uniform`` law -- and
+    ``values`` maps a (B, width) block of them to (B, C, K) canonical
+    values.  Called with a generator, it draws one tensor."""
+
+    class_tag: str
+    p: int
+    N: int
+    width: int
+    values: Callable[[np.ndarray], np.ndarray]
+    uniform: bool = False
+
+    def __post_init__(self):
+        if self.p < 1 or self.N < 1:
+            raise ValueError("p and N must be at least 1")
+        _class_info(self.class_tag).check_shape(self.p, self.N, f"{self.class_tag} tensors")
+
+    def __call__(self, rng: np.random.Generator) -> CanonicalTensor:
+        block = _normal_block(iter([rng]), 1, self.width, self.width * self.uniform)
+        return CanonicalTensor(self.class_tag, self.p, self.N, self.values(block)[0])
+
+
+def _law(sampler) -> _Law:
+    """The law a suite draws from: an ``EnsembleSpec``'s, or the law itself."""
+    if isinstance(sampler, _Law):
+        return sampler
+    if not isinstance(sampler, EnsembleSpec):
+        raise TypeError("sampler must be an EnsembleSpec or a law from uniform_entry_sampler, "
+                        f"rotated_spike_sampler or sphere_sampler, got {type(sampler)!r}")
+    shape = _value_shape(sampler)
+    return _Law(sampler.class_tag, sampler.p, sampler.N, shape[0] * shape[1],
+                lambda z: _canonical_values(sampler, z.reshape((-1,) + shape)))
+
+
 def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: bool = False):
-    """Read stream i of ``_streams(seed, 0, n_samples)`` for each sample --
-    first the tensor (an ensemble's normals, or a callable sampler's
-    CanonicalTensor), then with ``haar`` one Haar element's normals
-    (``flavor`` defaults to the class's group) -- and yield ``(tag, p, N,
-    flavor, values, normals)`` in chunks of ``_CHUNK_BYTES`` of dense
-    tensors: (B, C, K) canonical values and (B, k, N, N) Haar normals.
-
-    An ensemble's chunk is one ``_normal_block``: each stream is read once,
-    into a row that holds the tensor's C*K normals and then the Haar
-    element's k*N*N, which equals the two reads bit for bit.  A callable
-    sampler reads its own stream, and the Haar read follows on it.
+    """Read stream i of ``_streams(seed, 0, n_samples)`` for each sample,
+    once, into row i of a ``_normal_block``: first the law's ``width``
+    values, then with ``haar`` one Haar element's normals (``flavor``
+    defaults to the class's group).  Yield ``(values, normals)`` in chunks
+    of ``_CHUNK_BYTES`` of dense tensors: (B, C, K) canonical values and
+    (B, k, N, N) Haar normals, or None.
     """
-    if isinstance(sampler, EnsembleSpec):
-        info, p, N = _class_info(sampler.class_tag), sampler.p, sampler.N
-        flavor = flavor or info.group
-        C, K = _value_shape(sampler)
-        haar_shape = _haar_shape(flavor, N) if haar else None
-        width = C * K + (int(np.prod(haar_shape)) if haar else 0)
-        rngs, size = _streams(seed, 0, n_samples), _chunk_size(info, p, N)
-        for start in range(0, n_samples, size):
-            block = _normal_block(rngs, min(size, n_samples - start), width)
-            vals = _canonical_values(sampler, block[:, :C * K].reshape(-1, C, K))
-            normals = block[:, C * K:].reshape((-1,) + haar_shape) if haar else None
-            yield sampler.class_tag, p, N, flavor, vals, normals
-        return
-    if not callable(sampler):
-        raise TypeError(f"sampler must be an EnsembleSpec or callable, got {type(sampler)!r}")
-    rows, normals = [], []
-    for i, rng in enumerate(_streams(seed, 0, n_samples)):
-        t = sampler(rng)
-        rows.append(t.array)
-        if i == 0:
-            info = _class_info(t.class_tag)
-            flavor, size = flavor or info.group, _chunk_size(info, t.p, t.N)
-        if haar:
-            normals.append(_haar_normals(flavor, t.N, rng))
-        if len(rows) == size or i == n_samples - 1:
-            yield t.class_tag, t.p, t.N, flavor, np.stack(rows), np.stack(normals) if haar else None
-            rows, normals = [], []
-
-
-def _chunk_size(info, p: int, N: int) -> int:
-    """Samples per chunk: as many dense (p, N) tensors of the class as fit
-    in ``_CHUNK_BYTES``, at least one."""
-    dense_bytes = (info.dim_factor * N) ** p * (8 if info.units is None else 16)
-    return max(1, _CHUNK_BYTES // dense_bytes)
+    law = _law(sampler)
+    info = _class_info(law.class_tag)
+    haar_shape = _haar_shape(flavor or info.group, law.N) if haar else (0,)
+    width = law.width + int(np.prod(haar_shape))
+    # as many dense tensors of the law per chunk as fit in _CHUNK_BYTES, at least one
+    dense_bytes = (info.dim_factor * law.N) ** law.p * (8 if info.units is None else 16)
+    rngs, size = _streams(seed, 0, n_samples), max(1, _CHUNK_BYTES // dense_bytes)
+    for start in range(0, n_samples, size):
+        block = _normal_block(rngs, min(size, n_samples - start), width, law.width * law.uniform)
+        normals = block[:, law.width:].reshape((-1,) + haar_shape) if haar else None
+        yield law.values(block[:, :law.width]), normals
 
 
 def _ks_2samp(a: np.ndarray, b: np.ndarray):
@@ -238,14 +240,15 @@ def invariance_test(sampler, flavor: str | None = None,
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    law = _law(sampler)
+    info, p = _class_info(law.class_tag), law.p
+    flavor, melon = flavor or info.group, melon_graph(p, info.melon)
     paired: dict[str, list] = {}    # subtest -> chunks of (before, after, scale)
-    for tag, p, N, flavor, vals, normals in _draws(sampler, seed, n_samples, flavor, True):
-        info = _class_info(tag)
-        d0 = _densify_stack(info, p, N, vals)
+    for vals, normals in _draws(law, seed, n_samples, flavor, True):
+        d0 = _densify_stack(info, p, law.N, vals)
         mats = _haar_matrices(flavor, normals)
         _check_members(flavor, mats)
         d1 = _act_stack(flavor, mats, d0, p)
-        melon = melon_graph(p, info.melon)
         v0, v1 = _evaluate_stack(melon, d0), _evaluate_stack(melon, d1)
         scale = np.maximum(np.abs(v0), np.abs(v1))
         if np.iscomplexobj(v0) or np.iscomplexobj(v1):
@@ -283,25 +286,27 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
 
     All bands are 4 standard errors under the null; the null standard errors
     use the theoretical variance, so a degenerate sampler fails cleanly.  A
-    plain callable sampler needs ``reference=`` to supply the theory.
+    designed law needs ``reference=``, an ensemble of its class, p and N, to
+    supply the theory.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    law = _law(sampler)
     if reference is None and isinstance(sampler, EnsembleSpec):
         reference = sampler
     if reference is None:
-        raise ValueError("a callable sampler needs reference= for theoretical moments")
+        raise ValueError("a designed law needs reference= for theoretical moments")
+    if (law.class_tag, law.p, law.N) != (reference.class_tag, reference.p, reference.N):
+        raise ValueError(f"sampler draws {law.class_tag} tensors at (p, N) = ({law.p}, "
+                         f"{law.N}), reference {reference.class_tag} at ({reference.p}, "
+                         f"{reference.N})")
     mu, var = (a.ravel() for a in _moments(reference))
     m = int(np.count_nonzero(var))
     if m > MAX_LIVE_ENTRIES:
         raise ValueError(f"gaussianity would test m = {m} live entries ({m * (m - 1) // 2} "
                          f"correlation pairs), above the limit of {MAX_LIVE_ENTRIES}")
 
-    X = np.concatenate([vals.reshape(len(vals), -1)
-                        for *_, vals, _ in _draws(sampler, seed, n_samples)])
-    if X.shape[1] != mu.size:
-        raise ValueError(f"sampler produced {X.shape[1]} entries, reference "
-                         f"ensemble has {mu.size}")
+    X = np.concatenate([vals.reshape(len(vals), -1) for vals, _ in _draws(law, seed, n_samples)])
     n = n_samples
     rows = []
     live = []
@@ -358,34 +363,25 @@ def derivative_identity_test(n_trials: int = 100, seed: int = 0) -> Verification
     return _finish("derivative-identity", rows, n_trials, seed)
 
 
-def _sphere_dim(tag: str, p: int, N: int) -> int:
-    """K, the sphere's dimension; refuses a non-symmetric class and K < 3."""
-    if tag != "sym":
-        raise ValueError("isotropy_test expects real-symmetric samples")
-    K = class_count(p, N)
-    if K < 3:
-        raise ValueError(f"need at least 3 flattened components, got K={K}")
-    return K
-
-
 def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0) -> VerificationReport:
     """Uniformity on the unit sphere of the flattened, normalized samples.
 
     Subtests: each squared coordinate has mean 1/K (4 standard errors, using
     the exact sphere variance of u_k^2), and projections onto 10 fixed random
     directions agree with the same projections of a directly sampled uniform
-    sphere cloud (KS at alpha/10).  An ensemble is refused before it is
-    drawn, a callable sampler on its first chunk.
+    sphere cloud (KS at alpha/10).  A law that is not real-symmetric or has
+    K < 3 is refused before it is drawn.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    if isinstance(sampler, EnsembleSpec):
-        _sphere_dim(sampler.class_tag, sampler.p, sampler.N)
-    flats = []
-    for tag, p_, N_, _, vals, _ in _draws(sampler, seed, n_samples):
-        K = _sphere_dim(tag, p_, N_)
-        flats.append(np.sqrt(_class_info(tag).coordinates(p_, N_)[1]) * vals[:, 0])
-    X = np.concatenate(flats)
+    law = _law(sampler)
+    if law.class_tag != "sym":
+        raise ValueError("isotropy_test expects real-symmetric samples")
+    K = class_count(law.p, law.N)
+    if K < 3:
+        raise ValueError(f"need at least 3 flattened components, got K={K}")
+    w = _class_info("sym").coordinates(law.p, law.N)[1]
+    X = np.sqrt(w) * np.concatenate([vals[:, 0] for vals, _ in _draws(law, seed, n_samples)])
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero sample")
@@ -411,18 +407,13 @@ def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0) -> Verification
 # -- designed counterexample and oracle samplers ---------------------------
 
 
-def uniform_entry_sampler(p: int, N: int):
-    """i.i.d. uniform[0,1] canonical entries: a product law that is *not*
+def uniform_entry_sampler(p: int, N: int) -> _Law:
+    """i.i.d. uniform[0,1) canonical entries: a product law that is *not*
     orthogonally invariant."""
-    K = class_count(p, N)
-
-    def draw(rng: np.random.Generator) -> CanonicalTensor:
-        return CanonicalTensor("sym", p, N, {(): rng.uniform(0.0, 1.0, K)})
-
-    return draw
+    return _Law("sym", p, N, class_count(p, N), lambda u: u[:, None], uniform=True)
 
 
-def rotated_spike_sampler(p: int, N: int, beta: float = 0.0, scale: float = 1.0):
+def rotated_spike_sampler(p: int, N: int, beta: float = 0.0, scale: float = 1.0) -> _Law:
     """beta*identity + scale * v^(tensor p) with v uniform on the sphere.
 
     The law is orthogonally invariant for p <= 2 (and for beta = 0, any p)
@@ -430,25 +421,27 @@ def rotated_spike_sampler(p: int, N: int, beta: float = 0.0, scale: float = 1.0)
     the independence test.
     """
 
-    def draw(rng: np.random.Generator) -> CanonicalTensor:
-        v = rng.standard_normal(N)
-        v /= np.linalg.norm(v)
-        dense = np.array(scale)
-        for _ in range(p):
-            dense = np.multiply.outer(dense, v)
-        t = canonicalize(dense, "sym")
-        return shifted_by_identity(t, beta) if beta else t
+    def values(z: np.ndarray) -> np.ndarray:
+        # v as np.linalg.norm normalizes one vector; canonical value k is the
+        # dense outer product's entry at canonical tuple k, multiplied in the
+        # same order: scale * v[i1] * ... * v[ip]
+        v, rows = z / np.sqrt(np.vecdot(z, z))[:, None], _canonical_rows(p, N)
+        vals = scale * v[:, rows[:, 0]]
+        for t in range(1, p):
+            vals *= v[:, rows[:, t]]
+        if beta:
+            vals += beta * identity_tensor(p, N).values
+        return vals[:, None]
 
-    return draw
+    return _Law("sym", p, N, N, values)
 
 
-def sphere_sampler(p: int, N: int):
+def sphere_sampler(p: int, N: int) -> _Law:
     """Uniform on the flattened unit sphere, pushed back through the inverse
     isometry -- passes isotropy by construction."""
-    K = class_count(p, N)
 
-    def draw(rng: np.random.Generator) -> CanonicalTensor:
-        u = rng.standard_normal(K)
-        return unflatten_isometry(u / np.linalg.norm(u), p, N)
+    def values(z: np.ndarray) -> np.ndarray:
+        u = z / np.sqrt(np.vecdot(z, z))[:, None]
+        return (u / np.sqrt(_class_info("sym").coordinates(p, N)[1]))[:, None]
 
-    return draw
+    return _Law("sym", p, N, class_count(p, N), values)

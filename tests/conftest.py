@@ -10,14 +10,18 @@ from collections import Counter
 import numpy as np
 from hypothesis import settings
 
+from gte.harness import _Law
 from gte.invariants import _check_compatible, _real_part, _slot_labels
 from gte.tensor import (
     CLASS_TAGS,
     CanonicalTensor,
     canonical_indices,
+    canonicalize,
     class_count,
     component_is_symmetric,
     multiplicities,
+    shifted_by_identity,
+    unflatten_isometry,
     _class_info,
     _class_positions,
 )
@@ -149,10 +153,43 @@ def direct_sum(g, t):
 
 
 def constant_sampler(t: CanonicalTensor):
-    """Always returns the same tensor (degenerate law)."""
+    """The degenerate law at ``t``: it reads nothing from its stream."""
+    return _Law(t.class_tag, t.p, t.N, 0,
+                lambda z: np.broadcast_to(t.array, (len(z),) + t.array.shape))
 
-    def draw(rng: np.random.Generator) -> CanonicalTensor:
-        return t
+
+# The per-draw designed laws that the block records of
+# :mod:`gte.harness` replaced, kept as their oracles: a record's draws and
+# the Haar normals read after them must equal these bit for bit.
+
+def oracle_uniform_entry_sampler(p, N):
+    K = class_count(p, N)
+
+    def draw(rng):
+        return CanonicalTensor("sym", p, N, {(): rng.uniform(0.0, 1.0, K)})
+
+    return draw
+
+
+def oracle_rotated_spike_sampler(p, N, beta=0.0, scale=1.0):
+    def draw(rng):
+        v = rng.standard_normal(N)
+        v /= np.linalg.norm(v)
+        dense = np.array(scale)
+        for _ in range(p):
+            dense = np.multiply.outer(dense, v)
+        t = canonicalize(dense, "sym")
+        return shifted_by_identity(t, beta) if beta else t
+
+    return draw
+
+
+def oracle_sphere_sampler(p, N):
+    K = class_count(p, N)
+
+    def draw(rng):
+        u = rng.standard_normal(K)
+        return unflatten_isometry(u / np.linalg.norm(u), p, N)
 
     return draw
 

@@ -11,6 +11,7 @@ from gte.ensembles import (
     sample,
     sample_batch,
     _STREAM_BLOCK,
+    _moments,
     _stream,
     _streams,
 )
@@ -282,3 +283,14 @@ def test_batch_count_validation():
     with pytest.raises(ValueError):
         sample_batch(EnsembleSpec("GOTE", 2, 2), -1)
     assert sample_batch(EnsembleSpec("GOTE", 2, 2), 0) == []
+
+
+def test_moments_are_built_once_per_spec_and_read_only():
+    # at beta != 0 the mean holds beta * identity_tensor, a validated tensor
+    # too slow to build per draw; equal specs share one read-only pair
+    spec = EnsembleSpec("GOTE", 2, 2, beta=1.0)
+    mean, var = _moments(spec)
+    again = _moments(EnsembleSpec("GOTE", 2, 2, beta=1.0))
+    assert again[0] is mean and again[1] is var
+    assert not mean.flags.writeable and not var.flags.writeable
+    assert np.array_equal(mean[0], identity_tensor(2, 2).values)

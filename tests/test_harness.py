@@ -27,9 +27,10 @@ from gte.harness import (
     _draws,
     _finish,
 )
-from gte.tensor import frobenius_norm_sq, shifted_by_identity, zeros
+from gte.tensor import CanonicalTensor, frobenius_norm_sq, shifted_by_identity, zeros
 
-from conftest import constant_sampler
+from conftest import (constant_sampler, oracle_rotated_spike_sampler, oracle_sphere_sampler,
+                      oracle_uniform_entry_sampler)
 
 
 def test_derivative_identity_passes():
@@ -193,8 +194,7 @@ def test_gaussianity_callable_needs_reference():
 def test_gaussianity_detects_mean_shift():
     shifted = EnsembleSpec("GOTE", 2, 2, beta=5.0, seed=2)
     null = EnsembleSpec("GOTE", 2, 2, beta=0.0)
-    rep = gaussianity_independence_test(lambda rng: sample(shifted, rng),
-                                        n_samples=400, seed=2, reference=null)
+    rep = gaussianity_independence_test(shifted, n_samples=400, seed=2, reference=null)
     assert not rep.passed
     assert any(s.name.endswith(".mean") and not s.passed for s in rep.subtests)
 
@@ -233,6 +233,8 @@ def test_isotropy_rejects_non_symmetric_samples():
 @pytest.mark.parametrize("spec,message", [
     (EnsembleSpec("GOTE", 1, 2), "need at least 3 flattened components, got K=2"),
     (EnsembleSpec("GUTE", 2, 2), "isotropy_test expects real-symmetric samples"),
+    # a designed law knows its class, p and N before it draws, as an ensemble does
+    (uniform_entry_sampler(1, 2), "need at least 3 flattened components, got K=2"),
 ])
 def test_isotropy_refuses_an_ensemble_before_drawing(monkeypatch, spec, message):
     def no_draws(*args, **kwargs):
@@ -246,6 +248,26 @@ def test_isotropy_refuses_an_ensemble_before_drawing(monkeypatch, spec, message)
 def test_resolve_sampler_type_error():
     with pytest.raises(TypeError):
         invariance_test(object(), n_samples=200)
+    # a plain callable is no law: the suites read their streams in blocks
+    # and hand no generator to user code
+    spec = EnsembleSpec("GOTE", 3, 2)
+    for suite, kwargs in ((invariance_test, {}), (isotropy_test, {}),
+                          (gaussianity_independence_test, {"reference": spec})):
+        with pytest.raises(TypeError, match="EnsembleSpec or a law from uniform_entry_sampler"):
+            suite(lambda rng: sample(spec, rng), n_samples=200, **kwargs)
+
+
+@pytest.mark.parametrize("sampler", [
+    uniform_entry_sampler(2, 3), rotated_spike_sampler(3, 2), EnsembleSpec("GUTE", 2, 2)],
+    ids=["N", "p", "class"])
+def test_gaussianity_refuses_a_law_unlike_its_reference_before_drawing(monkeypatch, sampler):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(gte.harness, "_draws", no_draws)
+    with pytest.raises(ValueError, match=r"reference sym at \(2, 2\)"):
+        gaussianity_independence_test(sampler, n_samples=200,
+                                      reference=EnsembleSpec("GOTE", 2, 2))
 
 
 def test_subtest_tuple_shape():
@@ -281,35 +303,75 @@ _HAAR_READS = {"orthogonal": 1, "unitary": 2, "symplectic": 4}
 _ACROSS_BLOCK = _STREAM_BLOCK + 3
 
 
-@pytest.mark.parametrize("sampler,n,sizes", [
-    (EnsembleSpec("GOTE", 3, 2, beta=0.5), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
-    (EnsembleSpec("GUTE", 4, 2, gamma=2.0), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
-    (EnsembleSpec("GSTE", 2, 2, beta=0.5), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+@pytest.mark.parametrize("sampler,oracle,n,sizes", [
+    (EnsembleSpec("GOTE", 3, 2, beta=0.5), None, _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (EnsembleSpec("GUTE", 4, 2, gamma=2.0), None, _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (EnsembleSpec("GSTE", 2, 2, beta=0.5), None, _ACROSS_BLOCK, [_ACROSS_BLOCK]),
     # a chunk holds two 2 MiB dense GOTE p=6 N=8 tensors
-    (EnsembleSpec("GOTE", 6, 8), 5, [2, 2, 1]),
-    (uniform_entry_sampler(3, 2), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
-    (uniform_entry_sampler(6, 8), 5, [2, 2, 1]),
-], ids=["GOTE-3-2", "GUTE-4-2", "GSTE-2-2", "GOTE-6-8", "callable-3-2", "callable-6-8"])
+    (EnsembleSpec("GOTE", 6, 8), None, 5, [2, 2, 1]),
+    (uniform_entry_sampler(3, 2), oracle_uniform_entry_sampler(3, 2),
+     _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (uniform_entry_sampler(6, 8), oracle_uniform_entry_sampler(6, 8), 5, [2, 2, 1]),
+    (rotated_spike_sampler(4, 2, beta=0.7), oracle_rotated_spike_sampler(4, 2, beta=0.7),
+     _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (rotated_spike_sampler(6, 8), oracle_rotated_spike_sampler(6, 8), 5, [2, 2, 1]),
+    (sphere_sampler(3, 3), oracle_sphere_sampler(3, 3), _ACROSS_BLOCK, [_ACROSS_BLOCK]),
+    (sphere_sampler(6, 8), oracle_sphere_sampler(6, 8), 5, [2, 2, 1]),
+], ids=["GOTE-3-2", "GUTE-4-2", "GSTE-2-2", "GOTE-6-8", "callable-3-2", "callable-6-8",
+        "spike-4-2", "spike-6-8", "sphere-3-3", "sphere-6-8"])
 @pytest.mark.parametrize("haar", [False, True])
-def test_draws_read_each_stream_in_numpys_order(sampler, n, sizes, haar):
+def test_draws_read_each_stream_in_numpys_order(sampler, oracle, n, sizes, haar):
     # draw i reads default_rng(SeedSequence((seed, i))): the tensor first,
     # then with haar the Haar element's (k, N, N) normals, as two reads
     seed = 2**32 + 3
     chunks = list(_draws(sampler, seed, n, haar=haar))
-    assert [len(vals) for *_, vals, _ in chunks] == sizes
-    draw = sampler if callable(sampler) else lambda rng: sample(sampler, rng)
+    assert [len(vals) for vals, _ in chunks] == sizes
+    draw = oracle or (lambda rng: sample(sampler, rng))
+    k = _HAAR_READS[flavor_for_class(sampler.class_tag)]
     i = 0
-    for tag, p, N, flavor, vals, normals in chunks:
-        assert flavor == flavor_for_class(tag)
+    for vals, normals in chunks:
         assert (normals is None) != haar
         for b in range(len(vals)):
             rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-            assert np.array_equal(vals[b], draw(rng).array)
+            t = draw(rng)
+            assert np.array_equal(vals[b], t.array)
             if haar:
-                assert np.array_equal(normals[b],
-                                      rng.standard_normal((_HAAR_READS[flavor], N, N)))
+                assert np.array_equal(normals[b], rng.standard_normal((k, t.N, t.N)))
             i += 1
     assert i == n
+
+
+_LAW_ORACLES = {
+    "uniform": (uniform_entry_sampler, oracle_uniform_entry_sampler),
+    "spike": (rotated_spike_sampler, oracle_rotated_spike_sampler),
+    "sphere": (sphere_sampler, oracle_sphere_sampler),
+}
+_LAW_CASES = [("uniform", {}), ("sphere", {})] + [
+    ("spike", {"beta": beta, "scale": scale}) for beta in (0.0, 0.7, -1.3) for scale in (1.0, 1e6)]
+
+
+@pytest.mark.parametrize("p,N", [(1, 3), (2, 2), (2, 5), (3, 2), (3, 4), (4, 3), (6, 8)])
+@pytest.mark.parametrize("name,kwargs", _LAW_CASES, ids=[
+    name + "".join(f"-{k}={x:g}" for k, x in kwargs.items()) for name, kwargs in _LAW_CASES])
+def test_laws_draw_their_oracles_bit_for_bit(p, N, name, kwargs):
+    # the block records against the per-draw closures they replaced: canonical
+    # values, and the Haar normals read after them, over several chunks at
+    # p=6 N=8, beta at odd p too (where the identity tensor is zero)
+    make, make_oracle = _LAW_ORACLES[name]
+    law, oracle = make(p, N, **kwargs), make_oracle(p, N, **kwargs)
+    for seed in (0, 11, 2**32 + 3):
+        streams = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(5)]
+        want = [oracle(rng).array for rng in streams]
+        haar_want = [rng.standard_normal((1, N, N)) for rng in streams]
+        for haar in (False, True):
+            chunks = list(_draws(law, seed, 5, haar=haar))
+            assert np.array_equal(np.concatenate([vals for vals, _ in chunks]), want)
+            if haar:
+                assert np.array_equal(np.concatenate([h for _, h in chunks]), haar_want)
+        # one draw through the record's own call
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        t = law(rng)
+        assert isinstance(t, CanonicalTensor) and np.array_equal(t.array, want[0])
 
 
 def test_gaussianity_refuses_too_many_live_entries_before_drawing(monkeypatch):
