@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import CanonicalTensor, canonicalize, densify, _class_info, _empty
+from .tensor import (CanonicalTensor, canonicalize, densify, _class_info, _empty,
+                     _SLAB_MIN_BYTES, _TILE_BYTES)
 
 __all__ = [
     "FLAVORS",
@@ -266,20 +267,63 @@ def act_dense(g: GroupElement, t: CanonicalTensor | np.ndarray, p: int | None = 
 
 def _act_stack(flavor: str, mats: np.ndarray, dense: np.ndarray, p: int) -> np.ndarray:
     """(B, D, D) group elements acting on (B, D, ..., D) order-p tensors,
-    element b on tensor b."""
+    element b on tensor b, leg by leg or in the tiled sweeps of ``_sweep``.
+    Tiling keeps every bit: each output element is still the same chain of p
+    dot products of length D, leg 1 first, each a row of the same BLAS
+    product; a tile only changes how many rows one call sees."""
     B, dim = len(mats), mats.shape[-1]
     if dense.shape[1:] != (dim,) * p:
         raise ValueError(f"expected a tensor of shape {(dim,) * p}, got {dense.shape[1:]}")
-    # the legs alternate between two buffers, the last landing in bufs[0]
     dtype = np.promote_types(dense.dtype, mats.dtype)
-    bufs = [_empty(dense.shape, dtype) for _ in range(min(p, 2))]
-    for t, mat in enumerate(_leg_matrices(flavor, mats, p)):
-        # Contracting the leading leg and appending the new one last keeps
-        # the legs in order once all p contractions have run.
-        out = bufs[(p - 1 - t) % 2]
-        np.matmul(dense.reshape(B, dim, -1).swapaxes(1, 2), mat, out=out.reshape(B, -1, dim))
-        dense = out
-    return dense
+    legs, sizes = _leg_matrices(flavor, mats, p), _sweep_sizes(p, dim, dtype)
+    # the legs (sweeps) alternate between two buffers, the last landing in bufs[0]
+    bufs = [_empty(dense.shape, dtype) for _ in range(min(len(sizes), 2))]
+    if len(sizes) == p:
+        for t, mat in enumerate(legs):
+            # Contracting the leading leg and appending the new one last
+            # keeps the legs in order once all p contractions have run.
+            out = bufs[(p - 1 - t) % 2]
+            np.matmul(dense.reshape(B, dim, -1).swapaxes(1, 2), mat, out=out.reshape(B, -1, dim))
+            dense = out
+        return dense
+    tile = _empty((_TILE_BYTES // dtype.itemsize,), dtype)
+    for b in range(B):
+        x, first = dense[b], 0
+        for k, size in enumerate(sizes):
+            out = bufs[(len(sizes) - 1 - k) % 2][b]
+            _sweep(x, [leg[b] for leg in legs[first:first + size]], out, tile)
+            x, first = out, first + size
+    return bufs[0]
+
+
+def _sweep_sizes(p: int, dim: int, dtype: np.dtype) -> tuple[int, ...]:
+    """Legs per sweep: one, unless the tensor is real, of ``_SLAB_MIN_BYTES``
+    or more, and a tile holds 32 columns of g >= 2 legs; then even sweeps of
+    at most g.  Copying a tile costs about what one leg gains in cache, more
+    in a narrower tile; complex legs are bound by arithmetic, and gain less."""
+    if dtype.kind != "f" or dim ** p * dtype.itemsize < _SLAB_MIN_BYTES:
+        return (1,) * p
+    g = 1
+    while dim ** (g + 1) * 32 * dtype.itemsize <= _TILE_BYTES:
+        g += 1
+    s = -(-p // g)
+    return tuple(p // s + (k < p % s) for k in range(s))
+
+
+def _sweep(x: np.ndarray, legs: list[np.ndarray], y: np.ndarray, tile: np.ndarray) -> None:
+    """Contract the g leading legs of ``x`` into ``y``: w columns of x as a
+    (D^g, rest) matrix are copied into ``tile``, and the legs alternate between
+    it and the same w rows of y as a (rest, D^g) matrix, the last landing in y."""
+    dim, g = len(legs[0]), len(legs)
+    xv, yv = x.reshape(dim ** g, -1), y.reshape(-1, dim ** g)
+    w = len(tile) // len(xv)
+    for c in range(0, len(yv), w):
+        cols = xv[:, c:c + w]
+        pair = (yv[c:c + w].reshape(-1), tile[:cols.size])
+        np.copyto(pair[g % 2].reshape(cols.shape), cols)
+        for j, leg in enumerate(legs):
+            np.matmul(pair[(g - j) % 2].reshape(dim, -1).T, leg,
+                      out=pair[(g - 1 - j) % 2].reshape(-1, dim))
 
 
 def act(g: GroupElement, t: CanonicalTensor) -> CanonicalTensor:

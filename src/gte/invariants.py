@@ -345,11 +345,14 @@ def _contract(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
     batch = len(g.edges)            # a label no edge uses, the largest
     einsum = np.einsum if batch < 52 else _renumbered_einsum  # renumbering costs per call
     nodes: dict[int, tuple[list[int], np.ndarray]] = {}
+    traced: dict[tuple[int, ...], np.ndarray] = {}  # one partial trace per loop pattern
     for v in range(g.n):
         lab = labels[v]
         keep = [e for e in lab if lab.count(e) == 1]
-        arr = einsum(dense, [batch, *lab], [batch, *keep]) if len(keep) < g.p else dense
-        nodes[v] = (keep, arr)
+        pattern = tuple(map(lab.index, lab))
+        if len(keep) < g.p and pattern not in traced:
+            traced[pattern] = einsum(dense, [batch, *lab], [batch, *keep])
+        nodes[v] = (keep, traced.get(pattern, dense))
     _, steps = _plan(g, dense.shape[1])
     nid = g.n
     for a, b in steps:

@@ -133,6 +133,10 @@ def _check_dense_size(p: int, N: int, dim_factor: int = 1, units: bool = False) 
 #: Arrays of at least this many bytes from ``_empty`` are views of recycled
 #: anonymous mappings; smaller ones are plain ``np.empty``.
 _SLAB_MIN_BYTES = 1 << 20
+#: ``_act_stack`` contracts the legs of a real tensor of at least
+#: ``_SLAB_MIN_BYTES`` in sweeps over column tiles of at most this many bytes,
+#: so that the legs of one sweep run in cache
+_TILE_BYTES = 1 << 18
 #: Free slab bytes kept for reuse; a slab released above it is unmapped.
 _SLAB_CAP_BYTES = 64 << 20
 #: page-rounded slab size -> its free slabs

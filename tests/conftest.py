@@ -10,8 +10,9 @@ from collections import Counter
 import numpy as np
 from hypothesis import settings
 
+from gte.groups import _leg_matrices
 from gte.harness import _Law
-from gte.invariants import _check_compatible, _real_part, _slot_labels
+from gte.invariants import _check_compatible, _plan, _real_part, _slot_labels
 from gte.tensor import (
     CLASS_TAGS,
     CanonicalTensor,
@@ -150,6 +151,42 @@ def direct_sum(g, t):
     if g.flavor == "real":
         return float(_real_part(np.array(total)))
     return total
+
+
+# The one-leg-at-a-time action and the one-trace-per-vertex contraction
+# that the tiled sweeps of :func:`gte.groups._act_stack` and the shared
+# partial traces of :func:`gte.invariants._contract` replaced, kept as their
+# oracles: every output must equal these byte for byte.
+
+def oracle_act_stack(flavor, mats, dense, p):
+    B, dim = len(mats), mats.shape[-1]
+    dtype = np.promote_types(dense.dtype, mats.dtype)
+    bufs = [np.empty(dense.shape, dtype) for _ in range(min(p, 2))]
+    for t, mat in enumerate(_leg_matrices(flavor, mats, p)):
+        out = bufs[(p - 1 - t) % 2]
+        np.matmul(dense.reshape(B, dim, -1).swapaxes(1, 2), mat, out=out.reshape(B, -1, dim))
+        dense = out
+    return dense
+
+
+def oracle_contract(g, dense):
+    labels = _slot_labels(g)
+    batch = len(g.edges)
+    nodes = {}
+    for v in range(g.n):
+        lab = labels[v]
+        keep = [e for e in lab if lab.count(e) == 1]
+        arr = np.einsum(dense, [batch, *lab], [batch, *keep]) if len(keep) < g.p else dense
+        nodes[v] = (keep, arr)
+    nid = g.n
+    for a, b in _plan(g, dense.shape[1])[1]:
+        la, ta = nodes.pop(a)
+        lb, tb = nodes.pop(b)
+        out = sorted(set(la) ^ set(lb))
+        nodes[nid] = (out, np.einsum(ta, [batch, *la], tb, [batch, *lb], [batch, *out]))
+        nid += 1
+    (_, val), = nodes.values()
+    return _real_part(val) if g.flavor == "real" else np.asarray(val, dtype=complex)
 
 
 def constant_sampler(t: CanonicalTensor):

@@ -12,7 +12,8 @@ import pytest
 import gte.tensor
 from gte.ensembles import EnsembleSpec, sample
 from gte.groups import act_dense, haar_sample
-from gte.tensor import densify, _dense_tables, _empty, _SLAB_CAP_BYTES, _SLAB_MIN_BYTES
+from gte.tensor import (densify, _dense_tables, _empty, _SLAB_CAP_BYTES, _SLAB_MIN_BYTES,
+                        _TILE_BYTES)
 
 
 def _gote_6_8(seed):
@@ -77,6 +78,22 @@ def test_large_order_kernels_take_no_page_faults():
     for _ in range(20):
         act_dense(g, densify(t), 6)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+
+
+def test_act_dense_holds_two_dense_buffers_and_one_tile():
+    t, g = _gote_6_8(0)
+    d = densify(t)
+    act_dense(g, d, 6)
+    slabs = gte.tensor._slab_bytes
+    live = slabs["peak"] = slabs["live"]
+    tracemalloc.start()
+    try:
+        act_dense(g, d, 6)
+        _, traced = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert slabs["peak"] - live <= 2 * d.nbytes
+    assert slabs["peak"] - live + traced <= 2 * d.nbytes + _TILE_BYTES + 2**16
 
 
 def test_dense_tables_build_in_small_memory():

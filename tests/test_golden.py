@@ -12,8 +12,8 @@ the sampler can show that it changes nothing:
   array per class;
 * the sha256 of ``json.dumps(report_to_dict(report), sort_keys=True)`` for
   the verification suites (seed 0, n = 200), so every subtest statistic,
-  p-value and verdict is pinned, on the ensemble path and on the callable
-  sampler path.
+  p-value and verdict is pinned, on the ensemble path and on the block path
+  of the designed counterexample laws.
 """
 
 import hashlib

@@ -13,8 +13,11 @@ from gte.groups import (
     haar_sample,
     symplectic_form,
     theta_derivative,
+    _act_stack,
+    _sweep_sizes,
 )
-from conftest import random_tensor
+from conftest import oracle_act_stack, random_tensor
+from gte.ensembles import EnsembleSpec, sample
 from gte.tensor import (
     CanonicalTensor,
     ClassViolationError,
@@ -267,6 +270,33 @@ def test_act_dense_shape_check():
 
 
 # -- theta derivative -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,p,N,tiled", [
+    ("GOTE", 6, 8, True), ("GOTE", 7, 6, True), ("GOTE", 8, 5, True), ("GOTE", 2, 400, False),
+    ("GUTE", 6, 8, False), ("GSTE", 6, 4, False),
+], ids=lambda v: str(v))
+def test_act_dense_matches_the_one_leg_oracle_byte_for_byte(kind, p, N, tiled):
+    rng = np.random.default_rng(p * 1000 + N)
+    t = sample(EnsembleSpec(kind, p, N), rng)
+    g = haar_sample(flavor_for_class(t.class_tag), N, rng)
+    d = densify(t)
+    assert (len(_sweep_sizes(p, len(g.matrix), np.result_type(d, g.matrix))) < p) == tiled
+    want = oracle_act_stack(g.flavor, g.matrix[None], d[None], p)[0]
+    assert act_dense(g, t).tobytes() == want.tobytes()
+
+
+def test_tiled_action_matches_the_oracle_on_transposed_inputs_and_stacks():
+    rng = np.random.default_rng(3)
+    mats = np.stack([haar_sample("orthogonal", 8, rng).matrix for _ in range(2)])
+    dense = rng.standard_normal((2,) + (8,) * 6)
+    dense[0, 0] = -0.0
+    transposed = dense[0].T
+    assert not transposed.flags.c_contiguous
+    want = oracle_act_stack("orthogonal", mats[:1], transposed[None], 6)[0]
+    assert act_dense(GroupElement("orthogonal", mats[0]), transposed, 6).tobytes() == want.tobytes()
+    want = oracle_act_stack("orthogonal", mats, dense, 6)
+    assert _act_stack("orthogonal", mats, dense, 6).tobytes() == want.tobytes()
 
 
 def test_theta_derivative_p1_oracle():

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import direct_sum, paired_trace, random_tensor
+from conftest import direct_sum, oracle_contract, paired_trace, random_tensor
 from gte.groups import act_dense, flavor_for_class, haar_sample
 from gte.invariants import (
     TraceGraph,
@@ -14,6 +14,7 @@ from gte.invariants import (
     evaluate,
     melon_graph,
     validate,
+    _contract,
 )
 from gte.tensor import densify, frobenius_norm_sq, identity_tensor
 
@@ -256,6 +257,51 @@ def test_plan_reuse_across_tensors():
     for _ in range(5):
         t = random_tensor("sym", 4, 3, rng)
         assert evaluate(g, t) == pytest.approx(frobenius_norm_sq(t), rel=1e-10)
+
+
+def _graphs_with_loops():
+    graphs = [bouquet_graph(4), bouquet_graph(6, "parity")]
+    for p in range(1, 7):
+        graphs += enumerate_rank2(p, "real") + (enumerate_rank2(p, "parity") if p % 2 == 0 else [])
+    # three vertices, each with a loop at positions (1, 4)
+    graphs.append(TraceGraph(4, 3, "real", (((0, 1), (0, 4)), ((1, 1), (1, 4)), ((2, 1), (2, 4)),
+                                            ((0, 2), (1, 2)), ((0, 3), (2, 2)), ((1, 3), (2, 3)))))
+    # one loop at each vertex, at (1, 2) and at (3, 4): two patterns
+    graphs.append(TraceGraph(4, 2, "real", (((0, 1), (0, 2)), ((1, 3), (1, 4)),
+                                            ((0, 3), (1, 1)), ((0, 4), (1, 2)))))
+    return graphs
+
+
+def test_shared_partial_traces_match_one_trace_per_vertex_byte_for_byte():
+    rng = np.random.default_rng(5)
+    for g in _graphs_with_loops():
+        for N, B in ((2, 3), (3, 2)):
+            dense = rng.standard_normal((B,) + (N,) * g.p)
+            if g.flavor == "parity":
+                dense = dense + 1j * rng.standard_normal(dense.shape)
+            assert _contract(g, dense).tobytes() == oracle_contract(g, dense).tobytes(), (g, N)
+    g = enumerate_rank2(6, "real")[1]     # r = 4: one loop at each vertex
+    dense = densify(random_tensor("sym", 6, 8, rng))[None]
+    assert _contract(g, dense).tobytes() == oracle_contract(g, dense).tobytes()
+
+
+def test_vertices_with_one_loop_pattern_share_one_partial_trace(monkeypatch):
+    traces = []
+    einsum = np.einsum
+
+    def counting(*args):
+        traces.append(len(args) == 3)
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    rng = np.random.default_rng(0)
+    for r, want in ((6, 0), (4, 1), (2, 1)):
+        traces.clear()
+        _contract(enumerate_rank2(6, "real")[(6 - r) // 2], rng.standard_normal((1,) + (2,) * 6))
+        assert sum(traces) == want, r
+    traces.clear()
+    _contract(_graphs_with_loops()[-1], rng.standard_normal((1,) + (2,) * 4))
+    assert sum(traces) == 2
 
 
 # -- exact invariance --------------------------------------------------------
