@@ -120,8 +120,8 @@ _STREAM_BLOCK = 1024
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     """The generator of draw ``index`` under base seed ``seed``, seeded by
-    ``SeedSequence((seed, index))``; see :func:`_streams`."""
-    return next(_streams(seed, index, index + 1))
+    ``SeedSequence((seed, index))``, the stream :func:`_streams` yields."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
 def _streams(seed: int, start: int, stop: int):

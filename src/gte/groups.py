@@ -1,6 +1,6 @@
 """Compact matrix groups acting on symmetry-classed cubic tensors.
 
-Flavors and their tensor classes:
+Flavors (one :class:`_Group` record each, in ``_GROUPS``) and their tensor classes:
 
 * ``orthogonal``  real N x N matrices acting on real-symmetric tensors,
 * ``unitary``     complex N x N matrices acting on hermitian tensors; the
@@ -20,11 +20,12 @@ with M_t the per-leg matrix above.  It satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .tensor import (CanonicalTensor, canonicalize, densify, _class_info, _empty,
+from .tensor import (QUATERNION_UNITS, CanonicalTensor, canonicalize, densify, _class_info, _empty,
                      _SLAB_MIN_BYTES, _TILE_BYTES)
 
 __all__ = [
@@ -33,19 +34,60 @@ __all__ = [
     "act",
     "act_dense",
     "flavor_for_class",
-    "generator_matrix",
     "givens_rotation",
     "haar_sample",
     "symplectic_form",
     "theta_derivative",
 ]
 
-FLAVORS = ("orthogonal", "unitary", "symplectic")
 
-#: Maximum deviation tolerated when validating a group element.
-ORTHOGONAL_TOL = 1e-12
-UNITARY_TOL = 1e-12
-SYMPLECTIC_TOL = 1e-10
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """Everything that tells one compact group from the others.
+
+    Its matrix entries lie in the field the ``units`` span, the reals, the
+    complex numbers or the quaternions (Dyson's beta = 1, 2, 4), each unit
+    a ``dim_factor`` x ``dim_factor`` block.  A Haar draw reads one (N, N)
+    normal matrix per unit and orthonormalizes their ``embed``.  The even
+    legs of the action get ``even_leg`` of the (B, D, D) stack; a group with
+    ``form`` also preserves J; ``tol`` bounds a member's deviation.
+    """
+
+    flavor: str
+    units: np.ndarray       # (k, d, d); a Haar draw reads k normal matrices
+    tol: float
+    even_leg: Callable[[np.ndarray], np.ndarray]
+    form: bool
+
+    @property
+    def dim_factor(self) -> int:
+        return self.units.shape[-1]
+
+    @cached_property
+    def _terms(self) -> list:
+        """Per block entry (r, s), the (k, units[k, r, s]) that are nonzero."""
+        return [(r, s, [(k, u) for k, u in enumerate(self.units[:, r, s]) if u])
+                for r, s in np.ndindex(self.dim_factor, self.dim_factor)]
+
+    def embed(self, normals: np.ndarray) -> np.ndarray:
+        """(B, k, N, N) normals to the (B, dN, dN) matrices sum_k G_k (x) units[k].
+        Each real or imaginary part of a unit entry is 0 or +-1, nonzero in
+        one unit only, so every output part is one +-G_k term: exact."""
+        (B, _, N, _), d = normals.shape, self.dim_factor
+        out = np.empty((B, d * N, d * N), self.units.dtype)
+        for r, s, ((k, u), *rest) in self._terms:
+            block = normals[:, k] * u
+            for k, u in rest:
+                block += normals[:, k] * u
+            out.reshape(B, N, d, N, d)[:, :, r, :, s] = block
+        return out
+
+
+def _group(flavor: str) -> _Group:
+    try:
+        return _GROUPS[flavor]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown flavor {flavor!r}") from None
 
 
 def flavor_for_class(class_tag: str) -> str:
@@ -55,63 +97,75 @@ def flavor_for_class(class_tag: str) -> str:
 
 @lru_cache(maxsize=None)
 def symplectic_form(N: int) -> np.ndarray:
-    """Block-diagonal antisymmetric form: N copies of [[0, -1], [1, 0]]."""
-    J = np.zeros((2 * N, 2 * N))
-    for k in range(N):
-        J[2 * k, 2 * k + 1] = -1.0
-        J[2 * k + 1, 2 * k] = 1.0
+    """Block-diagonal antisymmetric form I_N (x) e_2: N copies of [[0, -1], [1, 0]]."""
+    # + 0.0 turns the -0.0 that kron leaves off the blocks into 0.0
+    J = np.kron(np.eye(N), QUATERNION_UNITS[2].real) + 0.0
     J.setflags(write=False)
     return J
 
 
-@dataclass(frozen=True)
+def _form_conjugate(mats: np.ndarray) -> np.ndarray:
+    """-J U J for each U of a (B, 2N, 2N) stack: the conjugate of a member of USp(2N)."""
+    J = symplectic_form(mats.shape[-1] // 2)
+    return -J @ mats @ J
+
+
+_GROUPS = {g.flavor: g for g in (
+    _Group("orthogonal", units=np.ones((1, 1, 1)), tol=1e-12,
+           even_leg=lambda mats: mats, form=False),
+    _Group("unitary", units=np.array([[[1.0]], [[1.0j]]]), tol=1e-12,
+           even_leg=np.conj, form=False),
+    _Group("symplectic", units=QUATERNION_UNITS, tol=1e-10,
+           even_leg=_form_conjugate, form=True),
+)}
+
+FLAVORS = tuple(_GROUPS)
+
+
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """A validated member of one of the three compact groups.
 
     ``N`` is the tensor dimension: orthogonal and unitary matrices are
-    N x N, symplectic ones 2N x 2N over the complex numbers.
+    N x N, symplectic ones 2N x 2N over the complex numbers.  Elements
+    compare and hash by identity; compare ``matrix`` for equal values.
     """
 
     flavor: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        mat = self.matrix
-        if self.flavor == "orthogonal" and np.iscomplexobj(mat):
+        group, mat = _group(self.flavor), self.matrix
+        if not np.iscomplexobj(group.units) and np.iscomplexobj(mat):
             if np.any(np.imag(mat)):
-                raise ValueError("orthogonal matrices must be real, got a nonzero imaginary part")
+                raise ValueError(f"{self.flavor} matrices must be real, got a nonzero imaginary part")
             mat = np.real(mat)
-        mat = np.array(mat, dtype=float if self.flavor == "orthogonal" else complex)
+        mat = np.array(mat, dtype=group.units.dtype)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("group elements must be square matrices")
-        if self.flavor == "symplectic" and mat.shape[0] % 2:
-            raise ValueError("symplectic matrices need even size")
+        if mat.shape[0] % group.dim_factor:
+            raise ValueError(f"{self.flavor} matrices need even size")
         _check_members(self.flavor, mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
     def N(self) -> int:
-        size = self.matrix.shape[0]
-        return size // 2 if self.flavor == "symplectic" else size
+        return self.matrix.shape[0] // _GROUPS[self.flavor].dim_factor
 
 
 def _check_members(flavor: str, mats: np.ndarray) -> None:
     """Raise unless every matrix of the (B, D, D) stack is in the group; the
     deviation reported is the largest over the stack."""
+    group = _group(flavor)
     unitarity = mats.conj().swapaxes(-1, -2) @ mats - np.eye(mats.shape[-1])
-    if flavor != "symplectic":
-        _bound(unitarity, ORTHOGONAL_TOL if flavor == "orthogonal" else UNITARY_TOL,
-               f"matrix is not {flavor}")
-        return
-    J = symplectic_form(mats.shape[-1] // 2)
-    _bound(mats.swapaxes(-1, -2) @ J @ mats - J, SYMPLECTIC_TOL,
-           "matrix does not preserve the form")
-    # Only the compact (unitary) part of the symplectic group keeps the
-    # sampled densities invariant, so membership is checked too.
-    _bound(unitarity, SYMPLECTIC_TOL, "symplectic matrix is not unitary")
+    if group.form:
+        J = symplectic_form(mats.shape[-1] // 2)
+        _bound(mats.swapaxes(-1, -2) @ J @ mats - J, group.tol, "matrix does not preserve the form")
+    # Unitarity is the membership test of O(N) and U(N), and only the compact
+    # (unitary) part of the symplectic group keeps the sampled laws invariant.
+    _bound(unitarity, group.tol,
+           f"{flavor} matrix is not unitary" if group.form else f"matrix is not {flavor}")
 
 
 def _bound(deviation: np.ndarray, tol: float, what: str) -> None:
@@ -126,58 +180,29 @@ def haar_sample(flavor: str, N: int, rng: np.random.Generator) -> GroupElement:
     Orthogonal and unitary samples come from QR factorization of a Gaussian
     matrix with the diagonal sign (phase) correction that makes the
     distribution exactly uniform.  Symplectic samples orthonormalize the
-    column pairs of a quaternionic Gaussian matrix inside its 2N complex
-    embedding, which stays in the quaternionic subalgebra and therefore
-    lands in the compact symplectic group.
+    column pairs of a quaternionic Gaussian matrix in its 2N complex
+    embedding, which keeps them in the compact symplectic group.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    return GroupElement(flavor, _haar_matrices(flavor, _haar_normals(flavor, N, rng)[None])[0])
-
-
-#: the (N, N) standard normal matrices one Haar draw reads, by flavor
-_HAAR_READS = {"orthogonal": 1, "unitary": 2, "symplectic": 4}
+    normals = rng.standard_normal(_haar_shape(flavor, N))
+    return GroupElement(flavor, _haar_matrices(flavor, normals[None])[0])
 
 
 def _haar_shape(flavor: str, N: int) -> tuple[int, int, int]:
-    """The shape (k, N, N) of one Haar draw's stream read, k from ``_HAAR_READS``."""
-    if flavor not in _HAAR_READS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return _HAAR_READS[flavor], N, N
-
-
-def _haar_normals(flavor: str, N: int, rng: np.random.Generator) -> np.ndarray:
-    """The stream read of one Haar draw: (k, N, N) normals."""
-    return rng.standard_normal(_haar_shape(flavor, N))
+    """The shape (k, N, N) of one Haar draw's stream read."""
+    return len(_group(flavor).units), N, N
 
 
 def _haar_matrices(flavor: str, normals: np.ndarray) -> np.ndarray:
-    """(B, k, N, N) normals to a (B, D, D) stack of unvalidated Haar draws
-    (Mezzadri's QR with the diagonal phase fix, or the symplectic
-    Gram-Schmidt below)."""
-    if flavor == "symplectic":
-        return _haar_symplectic(normals)
-    a = normals[:, 0] if flavor == "orthogonal" else normals[:, 0] + 1j * normals[:, 1]
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0
-    phase = np.sign(d) if flavor == "orthogonal" else (d / np.abs(d)).conj()
-    return q * phase[:, None, :]
-
-
-def _quaternion_embed(a, b, c, d) -> np.ndarray:
-    """(B, 2N, 2N) complex embeddings of (B, N, N) quaternion-coefficient matrices."""
-    B, N = a.shape[:2]
-    out = np.empty((B, 2 * N, 2 * N), dtype=complex)
-    out[:, 0::2, 0::2] = a + 1j * b
-    out[:, 0::2, 1::2] = -c - 1j * d
-    out[:, 1::2, 0::2] = c - 1j * d
-    out[:, 1::2, 1::2] = a - 1j * b
-    return out
-
-
-def _haar_symplectic(normals: np.ndarray) -> np.ndarray:
-    m = _quaternion_embed(*normals.swapaxes(0, 1))
+    """(B, k, N, N) normals to a (B, D, D) stack of unvalidated Haar draws."""
+    group = _group(flavor)
+    m = group.embed(normals)
+    if group.dim_factor == 1:
+        q, r = np.linalg.qr(m)
+        d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+        d[d == 0] = 1.0
+        return q * (d / np.abs(d)).conj()[:, None, :]
     # Gram-Schmidt over column pairs.  Each pair is a quaternionic column;
     # coefficients Q^H P are embeddings of quaternions, so subtracting
     # Q (Q^H P) and scaling by the real norm keep the quaternionic
@@ -200,46 +225,19 @@ def givens_rotation(theta: float, N: int, flavor: str) -> GroupElement:
     embedding (identity cos(theta) minus the second quaternion unit times
     sin(theta)) and the matrix has size 2N.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    size = 2 * N if flavor == "symplectic" else N
+    size = _group(flavor).dim_factor * N
     if size < 2:
         raise ValueError("plane rotations need two coordinates")
     c, s = np.cos(theta), np.sin(theta)
     mat = np.eye(size)
-    mat[0, 0] = c
-    mat[0, 1] = s
-    mat[1, 0] = -s
-    mat[1, 1] = c
+    mat[:2, :2] = [[c, s], [-s, c]]
     return GroupElement(flavor, mat)
 
 
-def generator_matrix(N: int, flavor: str = "orthogonal") -> np.ndarray:
-    """Derivative of the plane-rotation family at theta = 0.
-
-    Returns A = (d U_theta^T / d theta) U_theta evaluated at any theta,
-    which is the constant antisymmetric matrix with A[0, 1] = -1 and
-    A[1, 0] = 1 (size 2N for the symplectic flavor).
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    size = 2 * N if flavor == "symplectic" else N
-    if size < 2:
-        raise ValueError("plane rotations need two coordinates")
-    out = np.zeros((size, size))
-    out[0, 1] = -1.0
-    out[1, 0] = 1.0
-    return out
-
-
 def _leg_matrices(flavor: str, mats: np.ndarray, p: int) -> list[np.ndarray]:
-    """Per-leg matrices of a (B, D, D) stack of group elements."""
-    if flavor == "orthogonal":
-        return [mats] * p
-    if flavor == "unitary":
-        return [mats if t % 2 == 0 else mats.conj() for t in range(p)]
-    J = symplectic_form(mats.shape[-1] // 2)
-    even = -J @ mats @ J
+    """Per-leg matrices of a (B, D, D) stack of group elements: the stack on
+    odd legs (1, 3, ...), its ``even_leg`` image on even ones."""
+    even = _GROUPS[flavor].even_leg(mats)
     return [mats if t % 2 == 0 else even for t in range(p)]
 
 
@@ -347,14 +345,15 @@ def act(g: GroupElement, t: CanonicalTensor) -> CanonicalTensor:
 def theta_derivative(t: CanonicalTensor) -> CanonicalTensor:
     """Derivative of theta -> act(givens_rotation(theta), t) at theta = 0.
 
-    For a real-symmetric tensor this is the sum over legs of the generator
-    matrix applied to that leg.
+    For a real-symmetric tensor this is the sum over legs of the rotations'
+    generator A (A[0, 1] = -1, A[1, 0] = 1) applied to that leg.
     """
     if t.class_tag != "sym":
         raise ValueError("theta_derivative expects a real-symmetric tensor")
     if t.N < 2:
         raise ValueError("plane rotations need N >= 2")
-    A = generator_matrix(t.N)
+    A = np.zeros((t.N, t.N))
+    A[0, 1], A[1, 0] = -1.0, 1.0
     dense = densify(t)
     out = np.zeros_like(dense)
     for leg in range(t.p):

@@ -145,8 +145,11 @@ class _Law:
         return CanonicalTensor(self.class_tag, self.p, self.N, self.values(block)[0])
 
 
-def _law(sampler) -> _Law:
-    """The law a suite draws from: an ``EnsembleSpec``'s, or the law itself."""
+def _law(sampler, n_samples: int | None = None) -> _Law:
+    """The law a suite draws from: an ``EnsembleSpec``'s, or the law itself.
+    A suite passes its ``n_samples``, refused first when below MIN_SAMPLES."""
+    if n_samples is not None and n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if isinstance(sampler, _Law):
         return sampler
     if not isinstance(sampler, EnsembleSpec):
@@ -238,9 +241,7 @@ def invariance_test(sampler, flavor: str | None = None,
     coordinate, which carries the actual power.  Pass iff every p-value
     clears alpha/(number of subtests).
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    law = _law(sampler)
+    law = _law(sampler, n_samples)
     info, p = _class_info(law.class_tag), law.p
     flavor, melon = flavor or info.group, melon_graph(p, info.melon)
     paired: dict[str, list] = {}    # subtest -> chunks of (before, after, scale)
@@ -289,9 +290,7 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
     designed law needs ``reference=``, an ensemble of its class, p and N, to
     supply the theory.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    law = _law(sampler)
+    law = _law(sampler, n_samples)
     if reference is None and isinstance(sampler, EnsembleSpec):
         reference = sampler
     if reference is None:
@@ -372,9 +371,7 @@ def isotropy_test(sampler, n_samples: int = 5000, seed: int = 0) -> Verification
     sphere cloud (KS at alpha/10).  A law that is not real-symmetric or has
     K < 3 is refused before it is drawn.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    law = _law(sampler)
+    law = _law(sampler, n_samples)
     if law.class_tag != "sym":
         raise ValueError("isotropy_test expects real-symmetric samples")
     K = class_count(law.p, law.N)

@@ -32,7 +32,7 @@ from itertools import chain, compress, count
 
 import numpy as np
 
-from .groups import FLAVORS, GroupElement
+from .groups import GroupElement, _group
 from .invariants import TraceGraph
 from .tensor import (CLASS_TAGS, CanonicalTensor, canonical_indices, _canonical_flat,
                      _canonical_rows, _class_info)
@@ -187,8 +187,7 @@ def loads_matrix(s: str) -> GroupElement:
         flavor, N, rows = d["flavor"], d["N"], d["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix object must have flavor/N/rows: missing {exc}")
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    group = _group(flavor)
     if not _ints((N,)):
         raise ValueError(f"N must be an integer, got N={N!r}")
     try:
@@ -198,7 +197,7 @@ def loads_matrix(s: str) -> GroupElement:
     if not ok:
         raise ValueError("rows must be lists of [re, im] number pairs")
     mat = np.array([[complex(a, b) for a, b in row] for row in rows])
-    size = 2 * N if flavor == "symplectic" else N
+    size = group.dim_factor * N
     if mat.shape != (size, size):
         raise ValueError(f"{flavor} with N={N} needs a {size}x{size} matrix, got {mat.shape}")
     return GroupElement(flavor, mat)

@@ -10,7 +10,6 @@ from collections import Counter
 import numpy as np
 from hypothesis import settings
 
-from gte.groups import _leg_matrices
 from gte.harness import _Law
 from gte.invariants import _check_compatible, _plan, _real_part, _slot_labels
 from gte.tensor import (
@@ -153,6 +152,45 @@ def direct_sum(g, t):
     return total
 
 
+# The hand-written symplectic form, quaternion embedding and per-leg
+# matrices that the group records of :mod:`gte.groups` replaced, kept as
+# their oracles: J, the Haar embeddings and the leg matrices must equal
+# these byte for byte, -0.0 included.
+
+def oracle_symplectic_form(N):
+    J = np.zeros((2 * N, 2 * N))
+    for k in range(N):
+        J[2 * k, 2 * k + 1] = -1.0
+        J[2 * k + 1, 2 * k] = 1.0
+    return J
+
+
+def oracle_haar_embed(flavor, normals):
+    """The (B, D, D) matrices a Haar draw orthonormalizes, from (B, k, N, N) normals."""
+    if flavor == "orthogonal":
+        return normals[:, 0]
+    if flavor == "unitary":
+        return normals[:, 0] + 1j * normals[:, 1]
+    a, b, c, d = normals.swapaxes(0, 1)
+    B, N = a.shape[:2]
+    out = np.empty((B, 2 * N, 2 * N), dtype=complex)
+    out[:, 0::2, 0::2] = a + 1j * b
+    out[:, 0::2, 1::2] = -c - 1j * d
+    out[:, 1::2, 0::2] = c - 1j * d
+    out[:, 1::2, 1::2] = a - 1j * b
+    return out
+
+
+def oracle_leg_matrices(flavor, mats, p):
+    if flavor == "orthogonal":
+        return [mats] * p
+    if flavor == "unitary":
+        return [mats if t % 2 == 0 else mats.conj() for t in range(p)]
+    J = oracle_symplectic_form(mats.shape[-1] // 2)
+    even = -J @ mats @ J
+    return [mats if t % 2 == 0 else even for t in range(p)]
+
+
 # The one-leg-at-a-time action and the one-trace-per-vertex contraction
 # that the tiled sweeps of :func:`gte.groups._act_stack` and the shared
 # partial traces of :func:`gte.invariants._contract` replaced, kept as their
@@ -162,7 +200,7 @@ def oracle_act_stack(flavor, mats, dense, p):
     B, dim = len(mats), mats.shape[-1]
     dtype = np.promote_types(dense.dtype, mats.dtype)
     bufs = [np.empty(dense.shape, dtype) for _ in range(min(p, 2))]
-    for t, mat in enumerate(_leg_matrices(flavor, mats, p)):
+    for t, mat in enumerate(oracle_leg_matrices(flavor, mats, p)):
         out = bufs[(p - 1 - t) % 2]
         np.matmul(dense.reshape(B, dim, -1).swapaxes(1, 2), mat, out=out.reshape(B, -1, dim))
         dense = out

@@ -117,7 +117,7 @@ def test_streams_refuse_a_negative_seed_with_numpys_message():
 
 
 def test_stream_seed_words_serve_pcg64_only():
-    seq = _stream(1, 2).bit_generator.seed_seq
+    seq = next(_streams(1, 2, 3)).bit_generator.seed_seq
     assert not isinstance(seq, np.random.SeedSequence)
     with pytest.raises(ValueError):
         seq.generate_state(8, np.uint32)

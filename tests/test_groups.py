@@ -8,17 +8,22 @@ from gte.groups import (
     act,
     act_dense,
     flavor_for_class,
-    generator_matrix,
     givens_rotation,
     haar_sample,
     symplectic_form,
     theta_derivative,
+    _GROUPS,
     _act_stack,
+    _check_members,
+    _haar_matrices,
+    _leg_matrices,
     _sweep_sizes,
 )
-from conftest import oracle_act_stack, random_tensor
+from conftest import (oracle_act_stack, oracle_haar_embed, oracle_leg_matrices,
+                      oracle_symplectic_form, random_tensor)
 from gte.ensembles import EnsembleSpec, sample
 from gte.tensor import (
+    CLASS_TAGS,
     CanonicalTensor,
     ClassViolationError,
     canonical_indices,
@@ -26,6 +31,7 @@ from gte.tensor import (
     densify,
     frobenius_norm_sq,
     identity_tensor,
+    _class_info,
 )
 
 
@@ -117,13 +123,50 @@ def test_givens_rotation_symplectic_embeds_quaternion_block():
     assert np.allclose(g2.matrix[2:, 2:], np.eye(2))
 
 
-def test_generator_is_derivative_of_givens():
-    A = generator_matrix(3)
-    h = 1e-7
-    gp = givens_rotation(h, 3, "orthogonal").matrix
-    gm = givens_rotation(-h, 3, "orthogonal").matrix
-    assert np.allclose((gp - gm) / (2 * h), A.T, atol=1e-6) or np.allclose(
-        (gp - gm) / (2 * h), A, atol=1e-6)
+def test_group_elements_compare_and_hash_by_identity():
+    g = GroupElement("orthogonal", np.eye(2))
+    h = GroupElement("orthogonal", np.eye(2))
+    assert g == g and g != h
+    assert len({g, h}) == 2 and g in {g}
+
+
+# -- the group records, against the classes and the hand-written oracles ---
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_group_record_matches_its_classes(tag):
+    info = _class_info(tag)
+    group = _GROUPS[info.group]
+    assert group.dim_factor == info.dim_factor
+    assert densify(random_tensor(tag, 2, 2, np.random.default_rng(0))).dtype == group.units.dtype
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_symplectic_form_is_byte_identical_to_the_loop(N):
+    J = symplectic_form(N)
+    assert J.dtype == float and J.tobytes() == oracle_symplectic_form(N).tobytes()
+
+
+@pytest.mark.parametrize("flavor", ["orthogonal", "unitary", "symplectic"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("B", [1, 64])
+def test_haar_embedding_is_byte_identical_to_the_hand_written_blocks(flavor, N, B):
+    group = _GROUPS[flavor]
+    normals = np.random.default_rng(N * B).standard_normal((B, len(group.units), N, N))
+    expect = oracle_haar_embed(flavor, normals)
+    got = group.embed(normals)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("flavor", ["orthogonal", "unitary", "symplectic"])
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_leg_matrices_are_byte_identical_to_the_per_flavor_rule(flavor, p):
+    group = _GROUPS[flavor]
+    normals = np.random.default_rng(p).standard_normal((8, len(group.units), 3, 3))
+    mats = _haar_matrices(flavor, normals)
+    _check_members(flavor, mats)
+    got, expect = _leg_matrices(flavor, mats, p), oracle_leg_matrices(flavor, mats, p)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in expect]
 
 
 # -- basic action properties ------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gte.ensembles import EnsembleSpec, sample, _STREAM_BLOCK
-from gte.groups import flavor_for_class
+from gte.groups import FLAVORS, _GROUPS, flavor_for_class
 import gte.harness
 import gte.tensor
 from gte.harness import (
@@ -230,6 +230,16 @@ def test_isotropy_rejects_non_symmetric_samples():
         isotropy_test(EnsembleSpec("GUTE", 2, 2), n_samples=200)
 
 
+@pytest.mark.parametrize("suite", [invariance_test, gaussianity_independence_test,
+                                   isotropy_test])
+def test_every_suite_refuses_a_short_run_before_its_sampler(suite):
+    message = f"^need at least {MIN_SAMPLES} samples, got {MIN_SAMPLES - 1}$"
+    with pytest.raises(ValueError, match=message):
+        suite(object(), n_samples=MIN_SAMPLES - 1)
+    with pytest.raises(TypeError, match="sampler must be"):
+        suite(object(), n_samples=MIN_SAMPLES)
+
+
 @pytest.mark.parametrize("spec,message", [
     (EnsembleSpec("GOTE", 1, 2), "need at least 3 flattened components, got K=2"),
     (EnsembleSpec("GUTE", 2, 2), "isotropy_test expects real-symmetric samples"),
@@ -301,6 +311,11 @@ def test_finish_splits_alpha_over_the_ks_rows_only():
 
 _HAAR_READS = {"orthogonal": 1, "unitary": 2, "symplectic": 4}
 _ACROSS_BLOCK = _STREAM_BLOCK + 3
+
+
+def test_each_group_record_reads_its_haar_normals():
+    assert FLAVORS == tuple(_HAAR_READS)
+    assert {f: len(_GROUPS[f].units) for f in FLAVORS} == _HAAR_READS
 
 
 @pytest.mark.parametrize("sampler,oracle,n,sizes", [

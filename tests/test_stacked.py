@@ -20,7 +20,7 @@ from gte.groups import (
     _act_stack,
     _check_members,
     _haar_matrices,
-    _haar_normals,
+    _haar_shape,
 )
 from gte.invariants import (
     TraceGraph,
@@ -57,7 +57,7 @@ def test_stacked_draw_densify_haar_act_evaluate_match_single(kind, p, N):
     normals, haar, singles = [], [], []
     for rng in _streams():
         normals.append(_read_normals(spec, rng))
-        haar.append(_haar_normals(flavor, N, rng))
+        haar.append(rng.standard_normal(_haar_shape(flavor, N)))
     for rng in _streams():
         t = sample(spec, rng)
         singles.append((t, haar_sample(flavor, N, rng)))
@@ -104,7 +104,7 @@ def test_stacked_densify_matches_single_for_every_class(tag, p, N):
 @pytest.mark.parametrize("flavor", ["orthogonal", "unitary", "symplectic"])
 def test_stacked_membership_check_rejects_one_bad_element(flavor):
     N = 2
-    normals = np.stack([_haar_normals(flavor, N, rng) for rng in _streams()])
+    normals = np.stack([rng.standard_normal(_haar_shape(flavor, N)) for rng in _streams()])
     mats = _haar_matrices(flavor, normals)
     mats[3] = mats[3] * 1.001
     with pytest.raises(ValueError, match="deviation"):
