@@ -18,16 +18,17 @@ through the identity tensor on the lead component (H^(0), resp. Q^(0)).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .tensor import (
     CLASS_TAGS,
     CanonicalTensor,
-    class_count,
     frobenius_norm_sq,
     identity_tensor,
     shifted_by_identity,
@@ -67,9 +68,14 @@ class EnsembleSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.p < 1 or self.N < 1:
             raise ValueError("p and N must be positive")
+        for name in ("beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         _class_info(self.class_tag).check_shape(self.p, self.N, f"{self.kind} tensors")
+        if not math.isfinite(_scale(self)):
+            raise ValueError(f"gamma = {self.gamma} overflows the scale s = gamma p norm_sq / c")
 
     @property
     def class_tag(self) -> str:
@@ -86,8 +92,7 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> CanonicalTensor:
     vector per component, symmetric first, then by quaternion label), so a
     given generator state always produces the same tensor.
     """
-    values = _canonical_values(spec, _read_normals(spec, rng)[None])[0]
-    return CanonicalTensor(spec.class_tag, spec.p, spec.N, values)
+    return _spec_law(spec)(rng)
 
 
 def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
@@ -98,11 +103,8 @@ def sample_batch(spec: EnsembleSpec, count: int) -> list[CanonicalTensor]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
-    C, K = _value_shape(spec)
-    normals = _normal_block(_streams(spec.seed, 0, count), count, C * K)
-    values = _canonical_values(spec, normals.reshape(count, C, K))
+    law = _spec_law(spec)
+    values = law.values(_normal_block(_streams(spec.seed, 0, count), count, law.width))
     return [CanonicalTensor(spec.class_tag, spec.p, spec.N, v) for v in values]
 
 
@@ -220,17 +222,6 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _value_shape(spec: EnsembleSpec) -> tuple[int, int]:
-    """(C, K): the components and canonical classes of one draw's values."""
-    return len(_class_info(spec.class_tag).keys(spec.p)), class_count(spec.p, spec.N)
-
-
-def _read_normals(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """The stream read of one draw: a (C, K) array holding one length-K
-    standard normal vector per component, in storage order."""
-    return rng.standard_normal(_value_shape(spec))
-
-
 def _normal_block(rngs, count: int, width: int, uniform: int = 0) -> np.ndarray:
     """The next ``count`` generators of ``rngs`` read into one (count, width)
     array: row b holds the first ``width`` standard normals of generator b,
@@ -250,6 +241,31 @@ def _normal_block(rngs, count: int, width: int, uniform: int = 0) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Law:
+    """A law of (class_tag, p, N) tensors read in blocks: each draw reads
+    ``width`` values from its stream -- standard normals, or uniform [0, 1)
+    values for a ``uniform`` law -- and ``values`` maps a (B, width) block
+    of them to (B, C, K) canonical values.  Called with a generator, it
+    draws one tensor."""
+
+    class_tag: str
+    p: int
+    N: int
+    width: int
+    values: Callable[[np.ndarray], np.ndarray]
+    uniform: bool = False
+
+    def __post_init__(self):
+        if self.p < 1 or self.N < 1:
+            raise ValueError("p and N must be at least 1")
+        _class_info(self.class_tag).check_shape(self.p, self.N, f"{self.class_tag} tensors")
+
+    def __call__(self, rng: np.random.Generator) -> CanonicalTensor:
+        block = (rng.random if self.uniform else rng.standard_normal)((1, self.width))
+        return CanonicalTensor(self.class_tag, self.p, self.N, self.values(block)[0])
+
+
 def _scale(spec: EnsembleSpec) -> float:
     """s: every live canonical value has variance s / w, w its Frobenius weight."""
     return spec.gamma * spec.p * _class_info(spec.class_tag).norm_sq(spec.p) / _C[spec.kind]
@@ -266,11 +282,15 @@ def _moments(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(mean), _read_only(np.where(live, _scale(spec) / w, 0.0))
 
 
-def _canonical_values(spec: EnsembleSpec, normals: np.ndarray) -> np.ndarray:
-    """(B, C, K) standard normals to the canonical values of B draws.  The
-    +0.0 mean turns the -0.0 of a dead value's sqrt(0) * z into +0.0."""
+@lru_cache(maxsize=64)     # keyed by the whole spec, as _moments is
+def _spec_law(spec: EnsembleSpec) -> _Law:
+    """The law an ensemble draws: one standard normal z per canonical value,
+    in storage order, taken to sqrt(var) * z + mean.  The +0.0 mean turns
+    the -0.0 of a dead value's sqrt(0) * z into +0.0."""
     mean, var = _moments(spec)
-    return np.sqrt(var) * normals + mean
+    sd = np.sqrt(var)
+    return _Law(spec.class_tag, spec.p, spec.N, mean.size,
+                lambda z: sd * z.reshape((-1,) + mean.shape) + mean)
 
 
 def log_density_unnormalized(t: CanonicalTensor, spec: EnsembleSpec) -> float:

@@ -29,12 +29,11 @@ while the melon subtest doubles as an exact-invariance sanity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, _canonical_values, _moments, _normal_block, _stream,
-                        _streams, _value_shape)
+from .ensembles import (EnsembleSpec, _Law, _moments, _normal_block, _spec_law, _stream,
+                        _streams)
 from .groups import (act_dense, givens_rotation, theta_derivative,
                      _act_stack, _check_members, _haar_matrices, _haar_shape)
 from .invariants import melon_graph, _evaluate_stack
@@ -120,31 +119,6 @@ def report_to_dict(report: VerificationReport) -> dict:
 _AUX = 1 << 40
 
 
-@dataclass(frozen=True)
-class _Law:
-    """A law of (class_tag, p, N) tensors read in blocks, as the ensembles
-    are: each draw reads ``width`` values from its stream -- standard
-    normals, or uniform [0, 1) values for a ``uniform`` law -- and
-    ``values`` maps a (B, width) block of them to (B, C, K) canonical
-    values.  Called with a generator, it draws one tensor."""
-
-    class_tag: str
-    p: int
-    N: int
-    width: int
-    values: Callable[[np.ndarray], np.ndarray]
-    uniform: bool = False
-
-    def __post_init__(self):
-        if self.p < 1 or self.N < 1:
-            raise ValueError("p and N must be at least 1")
-        _class_info(self.class_tag).check_shape(self.p, self.N, f"{self.class_tag} tensors")
-
-    def __call__(self, rng: np.random.Generator) -> CanonicalTensor:
-        block = _normal_block(iter([rng]), 1, self.width, self.width * self.uniform)
-        return CanonicalTensor(self.class_tag, self.p, self.N, self.values(block)[0])
-
-
 def _law(sampler, n_samples: int | None = None) -> _Law:
     """The law a suite draws from: an ``EnsembleSpec``'s, or the law itself.
     A suite passes its ``n_samples``, refused first when below MIN_SAMPLES."""
@@ -155,9 +129,7 @@ def _law(sampler, n_samples: int | None = None) -> _Law:
     if not isinstance(sampler, EnsembleSpec):
         raise TypeError("sampler must be an EnsembleSpec or a law from uniform_entry_sampler, "
                         f"rotated_spike_sampler or sphere_sampler, got {type(sampler)!r}")
-    shape = _value_shape(sampler)
-    return _Law(sampler.class_tag, sampler.p, sampler.N, shape[0] * shape[1],
-                lambda z: _canonical_values(sampler, z.reshape((-1,) + shape)))
+    return _spec_law(sampler)
 
 
 def _draws(sampler, seed: int, n_samples: int, flavor: str | None = None, haar: bool = False):

@@ -163,15 +163,17 @@ def bouquet_graph(p: int, flavor: str = "real") -> TraceGraph:
 
 
 def enumerate_rank2(p: int, flavor: str = "real") -> list[TraceGraph]:
-    """All connected two-vertex trace invariants up to slot relabeling.
+    """One connected two-vertex trace invariant per admissible number r of
+    cross edges: r in {p, p-2, ..., >= 1} for the real flavor.
 
-    With r cross edges each vertex is left with (p-r)/2 self-loops, and any
-    two matchings with the same r are related by relabeling positions within
-    the vertices, so there is one representative per admissible r:
-    r in {p, p-2, ..., >= 1} for the real flavor.  For the parity flavor a
-    counting argument forces r to be even (each vertex must pair leftover
-    odd positions with leftover even ones, and exactly r/2 cross edges leave
-    from odd positions), so r in {p, p-2, ..., 2}; its cross edges swap the
+    With r cross edges each vertex is left with (p-r)/2 self-loops.  Two
+    matchings with the same r differ by a relabeling of positions within
+    the vertices, so the family is complete only for classes that every
+    relabeling fixes (GOTE, GUTE); at GSTE (6,1) it spans 3 of the 22
+    degree-2 invariants.  For the parity flavor a counting argument forces
+    r to be even (each vertex must pair leftover odd positions with
+    leftover even ones, and exactly r/2 cross edges leave from odd
+    positions), so r in {p, p-2, ..., 2}; its cross edges swap the
     positions within each pair, as in the self-dual melon.
     """
     if p < 1:

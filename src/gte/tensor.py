@@ -49,7 +49,6 @@ __all__ = [
     "canonical_indices",
     "canonicalize",
     "class_count",
-    "component_is_symmetric",
     "densify",
     "flatten_isometry",
     "frobenius_norm_sq",
@@ -57,7 +56,6 @@ __all__ = [
     "multiplicities",
     "paired_mask",
     "shifted_by_identity",
-    "sort_with_sign",
     "unflatten_isometry",
     "zeros",
 ]
@@ -85,21 +83,6 @@ class ClassViolationError(ValueError):
     def __init__(self, message: str, pair: tuple[tuple[int, ...], tuple[int, ...]]):
         super().__init__(message)
         self.pair = pair
-
-
-def sort_with_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """Sorted tuple and the sign of the sorting permutation (0 on repeats)."""
-    tup = tuple(indices)
-    srt = tuple(sorted(tup))
-    if len(set(tup)) < len(tup):
-        return srt, 0
-    inversions = sum(
-        1
-        for a in range(len(tup))
-        for b in range(a + 1, len(tup))
-        if tup[a] > tup[b]
-    )
-    return srt, -1 if inversions % 2 else 1
 
 
 #: Largest dense size ``(dim_factor * N)**p`` accepted, in entries.  Every
@@ -201,13 +184,6 @@ def class_count(p: int, N: int) -> int:
     return math.comb(N + p - 1, p)
 
 
-@lru_cache(maxsize=None)
-def _class_positions(p: int, N: int) -> Mapping[tuple[int, ...], int]:
-    return MappingProxyType(
-        {m: pos for pos, m in enumerate(canonical_indices(p, N))}
-    )
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -307,15 +283,6 @@ def _pair_signs(tag: str, p: int, N: int) -> np.ndarray:
     return _read_only(np.where(anti[:, None, None], _dense_tables(p, N)[2], np.int8(1)))
 
 
-def component_is_symmetric(eps: tuple[int, ...]) -> bool:
-    """Symmetry type of a self-dual quaternion component.
-
-    A component is symmetric exactly when its label has an even number of
-    nonzero slots; otherwise it is antisymmetric.
-    """
-    return sum(1 for k in eps if k != 0) % 2 == 0
-
-
 @dataclass(frozen=True, eq=False)
 class _TensorClass:
     """Everything that tells one tensor class from the others.
@@ -344,11 +311,12 @@ class _TensorClass:
     @lru_cache(maxsize=None)
     def components(self, p: int) -> Mapping[tuple[int, ...], bool]:
         """Component keys at order p in storage order, each mapped to
-        whether its component is symmetric."""
+        whether its component is symmetric: its key has an even number of
+        nonzero labels, or an odd number in an antisymmetric class."""
         n = 1 if self.units is None else len(self.units)
         keys = itertools.product(range(n), repeat=self.slots(p))
         return MappingProxyType(
-            {k: component_is_symmetric(k) != self.antisymmetric for k in keys})
+            {k: sum(map(bool, k)) % 2 == self.antisymmetric for k in keys})
 
     @lru_cache(maxsize=None)
     def keys(self, p: int) -> tuple[tuple[int, ...], ...]:
@@ -516,8 +484,7 @@ class CanonicalTensor:
         for i in tup:
             if not 0 <= i < f * self.N:
                 raise ValueError(f"index {i} outside [0, {f * self.N})")
-        srt, sign = sort_with_sign(i // f for i in tup)
-        pos = _class_positions(self.p, self.N)[srt]
+        (pos,), (sign,) = _sort_classes(np.array(tup)[:, None] // f, self.N)
         coeffs = self.array[:, pos] * np.where(info.antisymmetric_rows(self.p), sign, 1)
         if info.units is None:
             return float(coeffs[0])

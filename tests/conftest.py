@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 from hypothesis import settings
 
-from gte.harness import _Law
+from gte.ensembles import _Law
 from gte.invariants import _check_compatible, _plan, _real_part, _slot_labels
 from gte.tensor import (
     CLASS_TAGS,
@@ -18,12 +18,10 @@ from gte.tensor import (
     canonical_indices,
     canonicalize,
     class_count,
-    component_is_symmetric,
     multiplicities,
     shifted_by_identity,
     unflatten_isometry,
     _class_info,
-    _class_positions,
 )
 
 
@@ -63,6 +61,29 @@ def multiplicity(indices):
     for c in Counter(tup).values():
         out //= math.factorial(c)
     return out
+
+
+def sort_with_sign(indices):
+    """Sorted tuple and the sign of the sorting permutation (0 on repeats).
+
+    The per-tuple oracle for the class and sign tables of
+    :func:`gte.tensor._sort_classes`.
+    """
+    tup = tuple(indices)
+    srt = tuple(sorted(tup))
+    if len(set(tup)) < len(tup):
+        return srt, 0
+    inversions = sum(1 for a in range(len(tup)) for b in range(a + 1, len(tup))
+                     if tup[a] > tup[b])
+    return srt, -1 if inversions % 2 else 1
+
+
+def component_is_symmetric(eps):
+    """Whether a component with key ``eps`` is symmetric in a class whose
+    payload is not antisymmetric: its key has an even number of nonzero
+    labels.  The per-key oracle for :meth:`gte.tensor._TensorClass.components`.
+    """
+    return sum(1 for k in eps if k != 0) % 2 == 0
 
 
 def is_paired(indices):
@@ -325,7 +346,7 @@ def oracle_loads_tensor(s: str) -> CanonicalTensor:
     info = _class_info(tag)
     info.check_shape(p, N, f"{tag} tensors")
     rows = info.rows(p)
-    pos = _class_positions(p, N)
+    pos = {m: k for k, m in enumerate(canonical_indices(p, N))}
     arr = np.zeros((len(rows), len(pos)))
     if not isinstance(raw_entries, list):
         raise ValueError(f"entries must be a list, got {raw_entries!r}")

@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gte.harness
 import gte.tensor
 from gte.ensembles import EnsembleSpec, sample
+from gte.harness import invariance_test
 from gte.groups import act_dense, haar_sample
 from gte.tensor import (densify, _dense_tables, _empty, _SLAB_CAP_BYTES, _SLAB_MIN_BYTES,
                         _TILE_BYTES)
@@ -94,6 +96,17 @@ def test_act_dense_holds_two_dense_buffers_and_one_tile():
         tracemalloc.stop()
     assert slabs["peak"] - live <= 2 * d.nbytes
     assert slabs["peak"] - live + traced <= 2 * d.nbytes + _TILE_BYTES + 2**16
+
+
+def test_invariance_releases_each_chunk_before_the_next():
+    # GSTE (6,2) dense tensors are 64 KiB, so a chunk holds 64 of them and
+    # n = 200 runs four chunks; one chunk's dense stack, its rotation and
+    # the densify intermediate are live at once, the previous chunk's none
+    spec = EnsembleSpec("GSTE", 6, 2)
+    slabs = gte.tensor._slab_bytes
+    live = slabs["peak"] = slabs["live"]
+    invariance_test(spec, n_samples=200, seed=0)
+    assert slabs["peak"] - live <= 3 * gte.harness._CHUNK_BYTES
 
 
 def test_dense_tables_build_in_small_memory():

@@ -529,3 +529,17 @@ def test_verify_gaussianity_refuses_oversized_families(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "m = 8128 live entries" in captured.err and "limit of 1024" in captured.err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["verify", "--suite", "gaussianity", "--samples", "100", "--beta", "nan"], "beta"),
+    (["verify", "--suite", "isotropy", "--samples", "100", "--gamma", "inf"], "gamma"),
+    (["verify", "--suite", "invariance", "--samples", "100", "--p", "6", "--gamma", "1e308"],
+     "gamma"),
+    (["sample", "--kind", "gote", "--p", "2", "--dim", "2", "--beta", "nan"], "beta"),
+])
+def test_non_finite_ensemble_parameters_are_refused_before_any_draw(argv, field, capsys):
+    assert run(argv + ["--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gte: {field} ") and "\n" == captured.err[-1]

@@ -53,6 +53,22 @@ def test_spec_validation():
     assert EnsembleSpec("GSTE", 6, 1).class_tag == "selfdual"
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"beta": float("nan")}, "beta"), ({"beta": float("inf")}, "beta"),
+    ({"beta": -float("inf")}, "beta"), ({"gamma": float("inf")}, "gamma"),
+    ({"gamma": float("nan")}, "gamma")])
+def test_spec_refuses_non_finite_parameters(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        EnsembleSpec("GOTE", 2, 2, **kwargs)
+
+
+def test_spec_refuses_a_gamma_whose_scale_overflows():
+    # s = gamma p norm_sq / c: finite at p = 1, infinite at p = 6
+    assert EnsembleSpec("GOTE", 1, 2, gamma=1e308).gamma == 1e308
+    with pytest.raises(ValueError, match="gamma = 1e\\+308 overflows the scale"):
+        EnsembleSpec("GOTE", 6, 2, gamma=1e308)
+
+
 def test_samples_live_in_the_right_class():
     rng = np.random.default_rng(0)
     assert sample(EnsembleSpec("GOTE", 3, 2), rng).class_tag == "sym"

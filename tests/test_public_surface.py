@@ -23,9 +23,12 @@ def test_serialize_exports_the_string_codec():
 
 def test_per_tuple_helpers_are_not_exported():
     # the class tables replace them: multiplicities(p, N)[k], paired_mask(p, N)[k];
-    # the paired trace is the bouquet invariant, evaluate(bouquet_graph(p), t)
+    # the paired trace is the bouquet invariant, evaluate(bouquet_graph(p), t);
+    # sorting a tuple is densify's _sort_classes, a component's symmetry
+    # _class_info(tag).components(p)
     for mod in (gte, gte.invariants, gte.tensor):
-        for name in ("multiplicity", "is_paired", "paired_trace", "paired_half_multiplicities"):
+        for name in ("multiplicity", "is_paired", "paired_trace", "paired_half_multiplicities",
+                     "sort_with_sign", "component_is_symmetric"):
             assert not hasattr(mod, name), (mod.__name__, name)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import direct_sum, random_tensor
-from gte.ensembles import EnsembleSpec, _canonical_values, _read_normals, sample
+from gte.ensembles import EnsembleSpec, _spec_law, sample
 from gte.groups import (
     act_dense,
     flavor_for_class,
@@ -52,17 +52,18 @@ def _graphs(tag, p):
 @pytest.mark.parametrize("kind,p,N", CONFIGS)
 def test_stacked_draw_densify_haar_act_evaluate_match_single(kind, p, N):
     spec = EnsembleSpec(kind, p, N, beta=0.5)
+    law = _spec_law(spec)
     info = _class_info(spec.class_tag)
     flavor = flavor_for_class(spec.class_tag)
     normals, haar, singles = [], [], []
     for rng in _streams():
-        normals.append(_read_normals(spec, rng))
+        normals.append(rng.standard_normal(law.width))
         haar.append(rng.standard_normal(_haar_shape(flavor, N)))
     for rng in _streams():
         t = sample(spec, rng)
         singles.append((t, haar_sample(flavor, N, rng)))
 
-    vals = _canonical_values(spec, np.stack(normals))
+    vals = law.values(np.stack(normals))
     for row, (t, _) in zip(vals, singles):
         assert np.array_equal(row, t.array)
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import is_paired, multiplicity, random_tensor
+from conftest import (component_is_symmetric, is_paired, multiplicity, random_tensor,
+                      sort_with_sign)
 from gte.tensor import (
     CLASS_TAGS,
     CanonicalTensor,
@@ -17,7 +18,6 @@ from gte.tensor import (
     canonical_indices,
     canonicalize,
     class_count,
-    component_is_symmetric,
     densify,
     flatten_isometry,
     frobenius_norm_sq,
@@ -25,7 +25,6 @@ from gte.tensor import (
     multiplicities,
     paired_mask,
     shifted_by_identity,
-    sort_with_sign,
     unflatten_isometry,
     zeros,
     _canonical_flat,
@@ -381,11 +380,15 @@ def test_densify_canonicalize_round_trip(class_tag, ps):
 
 
 def test_densify_sym_matches_entries():
+    # entry sorts one tuple with the rule densify's tables are built from,
+    # for every class; the antisymmetric cases include repeated indices
     rng = np.random.default_rng(3)
-    t = random_tensor("sym", 3, 2, rng)
-    d = densify(t)
-    for idx in itertools.product(range(2), repeat=3):
-        assert d[idx] == t.entry(idx)
+    for class_tag, p, N in [("sym", 3, 2), ("antisym", 3, 3), ("antisym", 4, 3),
+                            ("herm", 4, 2), ("selfdual", 2, 2), ("selfdual", 6, 1)]:
+        t = random_tensor(class_tag, p, N, rng)
+        d = densify(t)
+        for idx in itertools.product(range(d.shape[0]), repeat=p):
+            assert d[idx] == t.entry(idx), (class_tag, p, N, idx)
 
 
 def test_frobenius_matches_dense():
@@ -477,13 +480,18 @@ def test_quaternion_units_algebra():
 
 
 def test_component_symmetry_rule():
-    # symmetric components carry an even number of nonzero labels
-    assert component_is_symmetric((0,))
-    assert not component_is_symmetric((1,))
-    assert component_is_symmetric((1, 2))
-    assert component_is_symmetric((0, 0, 0))
-    assert not component_is_symmetric((1, 2, 3))
-    assert component_is_symmetric((2, 2, 0))
+    # symmetric components carry an even number of nonzero labels; the
+    # antisymmetric class flips every one
+    assert _class_info("sym").components(1) == {(): True}
+    assert _class_info("antisym").components(1) == {(): False}
+    assert _class_info("herm").components(2) == {(0,): True, (1,): False}
+    for p in (2, 6):
+        comps = _class_info("selfdual").components(p)
+        assert list(comps) == list(itertools.product(range(4), repeat=p // 2))
+        assert all(comps[key] == component_is_symmetric(key) for key in comps)
+    comps = _class_info("selfdual").components(6)
+    assert comps[(0, 0, 0)] and comps[(1, 2, 0)] and comps[(2, 2, 0)]
+    assert not comps[(1, 2, 3)] and not comps[(0, 0, 1)]
 
 
 def test_selfdual_dense_shape_and_norm_factor():
