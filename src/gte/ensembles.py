@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -73,9 +74,16 @@ class EnsembleSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        _class_info(self.class_tag).check_shape(self.p, self.N, f"{self.kind} tensors")
+        info = _class_info(self.class_tag)
+        info.check_shape(self.p, self.N, f"{self.kind} tensors")
         if not math.isfinite(_scale(self)):
             raise ValueError(f"gamma = {self.gamma} overflows the scale s = gamma p norm_sq / c")
+        # a live value whose variance s / w is 0 never varies, and a subnormal
+        # one has lost bits: refuse both, at the least variance
+        least = _scale(self) / info.coordinates(self.p, self.N)[1].max()
+        if not least >= sys.float_info.min:
+            raise ValueError(f"gamma = {self.gamma} underflows the variance s / w of a live "
+                             f"canonical value to {least:.3g}")
 
     @property
     def class_tag(self) -> str:

@@ -64,22 +64,29 @@ class _Group:
         return self.units.shape[-1]
 
     @cached_property
-    def _terms(self) -> list:
-        """Per block entry (r, s), the (k, units[k, r, s]) that are nonzero."""
-        return [(r, s, [(k, u) for k, u in enumerate(self.units[:, r, s]) if u])
-                for r, s in np.ndindex(self.dim_factor, self.dim_factor)]
+    def _parts(self) -> list:
+        """Per block entry (r, s) and part ("real", "imag"), the one unit k
+        whose entry has that part nonzero, and whether it is -1."""
+        return [(r, s, part, k, getattr(self.units[k, r, s], part) < 0)
+                for r, s in np.ndindex(self.dim_factor, self.dim_factor)
+                for part in ("real", "imag")
+                for k in range(len(self.units)) if getattr(self.units[k, r, s], part)]
 
     def embed(self, normals: np.ndarray) -> np.ndarray:
         """(B, k, N, N) normals to the (B, dN, dN) matrices sum_k G_k (x) units[k].
         Each real or imaginary part of a unit entry is 0 or +-1, nonzero in
-        one unit only, so every output part is one +-G_k term: exact."""
-        (B, _, N, _), d = normals.shape, self.dim_factor
+        one unit only, so every output part is one +-G_k, copied straight
+        into it: exact.  The reals' one unit is 1, so their embedding is G_0."""
+        (B, k, N, _), d = normals.shape, self.dim_factor
+        if k == 1:
+            return normals[:, 0]
         out = np.empty((B, d * N, d * N), self.units.dtype)
-        for r, s, ((k, u), *rest) in self._terms:
-            block = normals[:, k] * u
-            for k, u in rest:
-                block += normals[:, k] * u
-            out.reshape(B, N, d, N, d)[:, :, r, :, s] = block
+        blocks = out.reshape(B, N, d, N, d)
+        # one negation for the whole call: numpy copies into a strided part
+        # faster than it negates into one
+        negated = -normals if any(part[-1] for part in self._parts) else None
+        for r, s, part, k, neg in self._parts:
+            np.copyto(getattr(blocks[:, :, r, :, s], part), (negated if neg else normals)[:, k])
         return out
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,22 +188,21 @@ def enumerate_rank2(p: int, flavor: str = "real") -> list[TraceGraph]:
     return [_two_vertex(p, r, convention) for r in range(p, 0, -2)]
 
 
-def _check_compatible(g: TraceGraph, t) -> np.ndarray:
-    bad = validate(g)
-    if bad:
-        raise ValueError("invalid graph: " + "; ".join(bad))
+def _check_compatible(g: TraceGraph, t) -> tuple[_Program, np.ndarray]:
+    """The program of ``g`` at the tensor's dimension, and the tensor's
+    dense form checked against the graph's flavor and order."""
     if isinstance(t, CanonicalTensor):
-        graph = _class_info(t.class_tag).graph
-        if graph != g.flavor:
-            raise ValueError(f"class {t.class_tag!r} evaluates on {graph} graphs, "
+        info = _class_info(t.class_tag)
+        program, order, dense = _plan(g, info.dim_factor * t.N), t.p, None
+        if info.graph != g.flavor:
+            raise ValueError(f"class {t.class_tag!r} evaluates on {info.graph} graphs, "
                              f"got a {g.flavor} graph")
-        if t.p != g.p:
-            raise ValueError(f"graph order {g.p} != tensor order {t.p}")
-        return densify(t)
-    dense = np.asarray(t)
-    if dense.ndim != g.p:
-        raise ValueError(f"graph order {g.p} != tensor order {dense.ndim}")
-    return dense
+    else:
+        dense = np.asarray(t)
+        program, order = _plan(g, dense.shape[0] if dense.ndim else 0), dense.ndim
+    if order != g.p:
+        raise ValueError(f"graph order {g.p} != tensor order {order}")
+    return program, densify(t) if dense is None else dense
 
 
 def _slot_labels(g: TraceGraph) -> list[list[int]]:
@@ -213,98 +214,121 @@ def _slot_labels(g: TraceGraph) -> list[list[int]]:
     return labels
 
 
+class _Program(NamedTuple):
+    """One graph's contraction at one dimension, compiled once.
+
+    ``kind`` and ``steps`` are the planner's ('dp'|'greedy', merge steps over
+    node ids); ``traces`` holds one partial-trace einsum (labels, kept labels)
+    per loop pattern, ``sources`` each vertex's operand (0 the dense stack, k
+    the k-th trace) and ``merges`` each step's (a's, b's, output) labels.
+    Labels lead with the batch label and are renumbered 0..k-1 in increasing
+    order, below numpy's 52; the order, and so einsum's loops, are kept.
+    """
+
+    kind: str
+    steps: tuple[tuple[int, int], ...]
+    traces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    sources: tuple[int, ...]
+    merges: tuple[tuple[tuple[int, ...], ...], ...]
+    real: bool
+
+    def __call__(self, dense: np.ndarray) -> np.ndarray:
+        """Values on a (B, D, ..., D) stack; real-flavor values are checked
+        to be real, relative to their size."""
+        einsum = np.einsum
+        operands = [dense] + [einsum(dense, lab, keep) for lab, keep in self.traces]
+        nodes = {v: operands[k] for v, k in enumerate(self.sources)}
+        for nid, ((a, b), (la, lb, out)) in enumerate(zip(self.steps, self.merges), len(nodes)):
+            nodes[nid] = einsum(nodes.pop(a), la, nodes.pop(b), lb, out)
+        (val,) = nodes.values()
+        return _real_part(val) if self.real else np.asarray(val, dtype=complex)
+
+
+def _renumbered(*labels: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The label lists of one einsum call renumbered to 0..k-1 in increasing
+    order: numpy takes labels below 52 only."""
+    used = sorted(set().union(*labels))
+    if len(used) > 52:
+        raise ValueError(f"a contraction step needs {len(used)} index labels, "
+                         "above the 52 that numpy's einsum supports")
+    new = {label: k for k, label in enumerate(used)}
+    return tuple(tuple(new[label] for label in lab) for lab in labels)
+
+
 @lru_cache(maxsize=None)
-def _plan(g: TraceGraph, dim: int) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """Contraction plan: ('dp'|'greedy', merge steps over node ids).
+def _plan(g: TraceGraph, dim: int) -> _Program:
+    """The compiled contraction of a valid graph at dimension ``dim``.
 
     Node ids 0..n-1 are the (self-loop-traced) vertices; each merge step
     (a, b) combines two live nodes into a fresh id n, n+1, ...  Exact
     subset dynamic programming when n <= 6, greedy otherwise: merge the
     pair sharing the most edges, ties broken by smaller resulting rank,
-    then lexicographically.
+    then lexicographically.  An invalid graph, or a step above 52 labels,
+    raises, and lru_cache keeps no result of a call that raised.
     """
-    labels = _slot_labels(g)
-    free = []
-    for v in range(g.n):
-        lab = labels[v]
-        free.append(frozenset(e for e in lab if lab.count(e) == 1))
-    if g.n == 1:
-        return ("dp", ())
-    if g.n <= 6:
-        return ("dp", _plan_dp(free, dim))
-    return ("greedy", _plan_greedy(free, dim))
+    if bad := validate(g):
+        raise ValueError("invalid graph: " + "; ".join(bad))
+    batch = len(g.edges)            # a label no edge uses
+    free, sources, traces = [], [], {}  # one partial trace per loop pattern
+    for lab in _slot_labels(g):
+        keep = [e for e in lab if lab.count(e) == 1]
+        free.append(keep)
+        pattern = tuple(map(lab.index, lab))
+        if len(keep) < g.p and pattern not in traces:
+            traces[pattern] = _renumbered([batch, *lab], [batch, *keep])
+        sources.append(list(traces).index(pattern) + 1 if pattern in traces else 0)
+    kind, steps = ("dp", _plan_dp(free, dim)) if g.n <= 6 else ("greedy", _plan_greedy(free, dim))
+    nodes, merges = dict(enumerate(free)), []
+    for nid, (a, b) in enumerate(steps, g.n):
+        la, lb = nodes.pop(a), nodes.pop(b)
+        nodes[nid] = out = sorted(set(la) ^ set(lb))
+        merges.append(_renumbered([batch, *la], [batch, *lb], [batch, *out]))
+    return _Program(kind, steps, tuple(traces.values()), tuple(sources), tuple(merges),
+                    g.flavor == "real")
 
 
-def _plan_dp(free: list[frozenset], dim: int) -> tuple[tuple[int, int], ...]:
+def _plan_dp(free: list[list[int]], dim: int) -> tuple[tuple[int, int], ...]:
     n = len(free)
-    full = (1 << n) - 1
-
-    def freeset(mask):
-        s = frozenset()
-        for v in range(n):
-            if mask >> v & 1:
-                s = s ^ free[v]          # labels interior to mask cancel
-        return s
-
-    fs = {1 << v: free[v] for v in range(n)}
+    fs = {1 << v: frozenset(free[v]) for v in range(n)}
     best: dict[int, tuple[float, int]] = {1 << v: (0.0, 0) for v in range(n)}
-    order = sorted(range(1, full + 1), key=lambda m: bin(m).count("1"))
-    for mask in order:
+    for mask in sorted(range(1, 1 << n), key=lambda m: bin(m).count("1")):
         if mask in best:
             continue
-        fs[mask] = freeset(mask)
+        low = mask & -mask
+        fs[mask] = fs[low] ^ fs[mask ^ low]     # labels interior to mask cancel
         choice = None
         sub = (mask - 1) & mask
         while sub:
             rest = mask ^ sub
             if sub < rest:               # each split once
-                ca, _ = best[sub]
-                cb, _ = best[rest]
-                step = float(dim) ** len(fs[sub] | fs[rest])
-                total = ca + cb + step
+                total = best[sub][0] + best[rest][0] + float(dim) ** len(fs[sub] | fs[rest])
                 if choice is None or total < choice[0]:
                     choice = (total, sub)
             sub = (sub - 1) & mask
         best[mask] = choice
 
     steps = []
-    next_id = [n]
     node_of = {1 << v: v for v in range(n)}
 
     def emit(mask):
-        if mask in node_of:
-            return node_of[mask]
-        _, sub = best[mask]
-        a = emit(sub)
-        b = emit(mask ^ sub)
-        steps.append((a, b))
-        nid = next_id[0]
-        next_id[0] += 1
-        node_of[mask] = nid
-        return nid
+        if mask not in node_of:
+            sub = best[mask][1]
+            steps.append((emit(sub), emit(mask ^ sub)))
+            node_of[mask] = n + len(steps) - 1
+        return node_of[mask]
 
-    emit(full)
+    emit((1 << n) - 1)
     return tuple(steps)
 
 
-def _plan_greedy(free: list[frozenset], dim: int) -> tuple[tuple[int, int], ...]:
-    live = {v: free[v] for v in range(len(free))}
+def _plan_greedy(free: list[list[int]], dim: int) -> tuple[tuple[int, int], ...]:
+    live = {v: frozenset(labels) for v, labels in enumerate(free)}
     steps = []
-    nid = len(free)
-    while len(live) > 1:
-        ids = sorted(live)
-        pick = None
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                shared = len(live[a] & live[b])
-                rank = len(live[a] ^ live[b])
-                key = (-shared, rank, a, b)
-                if pick is None or key < pick[0]:
-                    pick = (key, a, b)
-        _, a, b = pick
+    for nid in range(len(free), 2 * len(free) - 1):
+        a, b = min(combinations(sorted(live), 2),
+                   key=lambda ab: (-len(live[ab[0]] & live[ab[1]]), len(live[ab[0]] ^ live[ab[1]]), ab))
         steps.append((a, b))
         live[nid] = live.pop(a) ^ live.pop(b)
-        nid += 1
     return tuple(steps)
 
 
@@ -313,58 +337,19 @@ def evaluate(g: TraceGraph, t):
 
     The sum over one index per edge of the product of vertex entries, run
     through a planned sequence of pairwise einsum contractions (self-loops
-    are partial-traced inside each vertex first).  Real-flavor results are
-    checked to be real, relative to their size, and returned as float;
-    parity flavor returns complex.
+    are partial-traced inside each vertex first), compiled once per graph
+    and dimension.  Real-flavor results are checked to be real, relative
+    to their size, and returned as float; parity flavor returns complex.
     """
-    val = _contract(g, _check_compatible(g, t)[None])[0]
+    program, dense = _check_compatible(g, t)
+    val = program(dense[None])[0]
     return float(val) if g.flavor == "real" else complex(val)
 
 
 def _evaluate_stack(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
     """Values of the invariant on a (B, D, ..., D) stack of dense tensors;
     the graph is checked once for the whole stack."""
-    _check_compatible(g, dense[0])
-    return _contract(g, dense)
-
-
-def _renumbered_einsum(*args) -> np.ndarray:
-    """``np.einsum`` in its interleaved form, this call's labels renumbered to
-    0..k-1 in increasing order: numpy takes labels below 52 only."""
-    *ops, out = args
-    used = sorted(set(out).union(*ops[1::2]))
-    if len(used) > 52:
-        raise ValueError(f"a contraction step needs {len(used)} index labels, "
-                         "above the 52 that numpy's einsum supports")
-    new = {label: k for k, label in enumerate(used)}
-    ops[1::2] = [[new[label] for label in labels] for labels in ops[1::2]]
-    return np.einsum(*ops, [new[label] for label in out])
-
-
-def _contract(g: TraceGraph, dense: np.ndarray) -> np.ndarray:
-    """The planned contraction over a leading batch label."""
-    labels = _slot_labels(g)
-    batch = len(g.edges)            # a label no edge uses, the largest
-    einsum = np.einsum if batch < 52 else _renumbered_einsum  # renumbering costs per call
-    nodes: dict[int, tuple[list[int], np.ndarray]] = {}
-    traced: dict[tuple[int, ...], np.ndarray] = {}  # one partial trace per loop pattern
-    for v in range(g.n):
-        lab = labels[v]
-        keep = [e for e in lab if lab.count(e) == 1]
-        pattern = tuple(map(lab.index, lab))
-        if len(keep) < g.p and pattern not in traced:
-            traced[pattern] = einsum(dense, [batch, *lab], [batch, *keep])
-        nodes[v] = (keep, traced.get(pattern, dense))
-    _, steps = _plan(g, dense.shape[1])
-    nid = g.n
-    for a, b in steps:
-        la, ta = nodes.pop(a)
-        lb, tb = nodes.pop(b)
-        out = sorted(set(la) ^ set(lb))
-        nodes[nid] = (out, einsum(ta, [batch, *la], tb, [batch, *lb], [batch, *out]))
-        nid += 1
-    (_, val), = nodes.values()
-    return _real_part(val) if g.flavor == "real" else np.asarray(val, dtype=complex)
+    return _check_compatible(g, dense[0])[0](dense)
 
 
 def _real_part(val: np.ndarray) -> np.ndarray:

@@ -157,7 +157,7 @@ def direct_sum(g, t):
     never falls back to it; it is the oracle the contraction planner is
     tested against.
     """
-    dense = _check_compatible(g, t)
+    _, dense = _check_compatible(g, t)
     labels = _slot_labels(g)
     dim = dense.shape[0]
     total = 0.0 + 0.0j
@@ -213,9 +213,9 @@ def oracle_leg_matrices(flavor, mats, p):
 
 
 # The one-leg-at-a-time action and the one-trace-per-vertex contraction
-# that the tiled sweeps of :func:`gte.groups._act_stack` and the shared
-# partial traces of :func:`gte.invariants._contract` replaced, kept as their
-# oracles: every output must equal these byte for byte.
+# that the tiled sweeps of :func:`gte.groups._act_stack` and the compiled
+# programs of :func:`gte.invariants._plan` replaced, kept as their oracles:
+# every output must equal these byte for byte.
 
 def oracle_act_stack(flavor, mats, dense, p):
     B, dim = len(mats), mats.shape[-1]

@@ -543,3 +543,16 @@ def test_non_finite_ensemble_parameters_are_refused_before_any_draw(argv, field,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"gte: {field} ") and "\n" == captured.err[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "gaussianity", "--samples", "100", "--gamma", "5e-324"],
+    ["verify", "--suite", "invariance", "--samples", "100", "--p", "6", "--gamma", "5e-324"],
+    ["sample", "--kind", "gute", "--p", "4", "--dim", "2", "--gamma", "1e-308"],
+])
+def test_an_underflowing_gamma_is_refused_before_any_draw(argv, capsys):
+    assert run(argv + ["--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gte: gamma = ")
+    assert "underflows the variance s / w of a live canonical value" in captured.err

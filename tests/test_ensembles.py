@@ -1,5 +1,7 @@
 """Ensemble laws: per-class variances, means, energy, and the density."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,20 @@ def test_spec_refuses_a_gamma_whose_scale_overflows():
     assert EnsembleSpec("GOTE", 1, 2, gamma=1e308).gamma == 1e308
     with pytest.raises(ValueError, match="gamma = 1e\\+308 overflows the scale"):
         EnsembleSpec("GOTE", 6, 2, gamma=1e308)
+
+
+@pytest.mark.parametrize("kind,p,N,gamma", [("GOTE", 6, 2, 5e-324), ("GOTE", 2, 2, 1e-308),
+                                             ("GUTE", 4, 2, 1e-308), ("GSTE", 2, 2, 5e-324)])
+def test_spec_refuses_a_gamma_whose_variance_underflows(kind, p, N, gamma):
+    # s / w is 0 or subnormal on the live value of largest weight w
+    with pytest.raises(ValueError, match=f"gamma = {gamma} underflows the variance s / w"):
+        EnsembleSpec(kind, p, N, gamma=gamma)
+    # four times the smallest accepted gamma gives every live value a normal variance
+    info = _class_info(EnsembleSpec(kind, p, N).class_tag)
+    live, w = info.coordinates(p, N)
+    c = {"GOTE": 1, "GUTE": 2, "GSTE": 4}[kind]
+    ok = EnsembleSpec(kind, p, N, gamma=4 * sys.float_info.min * w.max() * c / (p * info.norm_sq(p)))
+    assert _moments(ok)[1][live].min() >= sys.float_info.min
 
 
 def test_samples_live_in_the_right_class():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import direct_sum, oracle_contract, paired_trace, random_tensor
+from gte.ensembles import EnsembleSpec, sample
 from gte.groups import act_dense, flavor_for_class, haar_sample
 from gte.invariants import (
     TraceGraph,
@@ -14,7 +15,8 @@ from gte.invariants import (
     evaluate,
     melon_graph,
     validate,
-    _contract,
+    _evaluate_stack,
+    _plan,
 )
 from gte.tensor import densify, frobenius_norm_sq, identity_tensor
 
@@ -279,10 +281,10 @@ def test_shared_partial_traces_match_one_trace_per_vertex_byte_for_byte():
             dense = rng.standard_normal((B,) + (N,) * g.p)
             if g.flavor == "parity":
                 dense = dense + 1j * rng.standard_normal(dense.shape)
-            assert _contract(g, dense).tobytes() == oracle_contract(g, dense).tobytes(), (g, N)
+            assert _evaluate_stack(g, dense).tobytes() == oracle_contract(g, dense).tobytes(), (g, N)
     g = enumerate_rank2(6, "real")[1]     # r = 4: one loop at each vertex
     dense = densify(random_tensor("sym", 6, 8, rng))[None]
-    assert _contract(g, dense).tobytes() == oracle_contract(g, dense).tobytes()
+    assert _evaluate_stack(g, dense).tobytes() == oracle_contract(g, dense).tobytes()
 
 
 def test_vertices_with_one_loop_pattern_share_one_partial_trace(monkeypatch):
@@ -297,11 +299,84 @@ def test_vertices_with_one_loop_pattern_share_one_partial_trace(monkeypatch):
     rng = np.random.default_rng(0)
     for r, want in ((6, 0), (4, 1), (2, 1)):
         traces.clear()
-        _contract(enumerate_rank2(6, "real")[(6 - r) // 2], rng.standard_normal((1,) + (2,) * 6))
+        _evaluate_stack(enumerate_rank2(6, "real")[(6 - r) // 2], rng.standard_normal((1,) + (2,) * 6))
         assert sum(traces) == want, r
     traces.clear()
-    _contract(_graphs_with_loops()[-1], rng.standard_normal((1,) + (2,) * 4))
+    _evaluate_stack(_graphs_with_loops()[-1], rng.standard_normal((1,) + (2,) * 4))
     assert sum(traces) == 2
+
+
+def _graph_families():
+    """Every graph family, loop-free ones included, each at N = 2 and 3."""
+    graphs = []
+    for p in range(1, 7):
+        graphs.append(melon_graph(p))
+        graphs += enumerate_rank2(p, "real")
+        if p % 2 == 0:
+            graphs += [melon_graph(p, "hermitian"), melon_graph(p, "selfdual"),
+                       bouquet_graph(p), bouquet_graph(p, "parity"), *enumerate_rank2(p, "parity")]
+    graphs.append(_graphs_with_loops()[-2])         # three vertices with loops
+    # three vertices without loops, and a ring of seven: the greedy planner
+    graphs.append(TraceGraph(4, 3, "real", (((0, 1), (1, 1)), ((0, 2), (1, 2)), ((0, 3), (2, 1)),
+                                            ((0, 4), (2, 2)), ((1, 3), (2, 3)), ((1, 4), (2, 4)))))
+    graphs.append(TraceGraph(2, 7, "parity", tuple(((v, 2), ((v + 1) % 7, 1)) for v in range(7))))
+    return [(g, N) for g in graphs for N in (2, 3)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex if isinstance(x, complex) else float).tobytes()
+
+
+@pytest.mark.parametrize("g,N", _graph_families() + [(melon_graph(6), 8)])
+def test_programs_match_the_oracle_contraction_byte_for_byte(g, N):
+    rng = np.random.default_rng(31)
+    if N == 8:      # the GOTE (6, 8) melon on its own draws
+        dense = np.stack([densify(sample(EnsembleSpec("GOTE", 6, 8), rng)) for _ in range(3)])
+    else:
+        dense = rng.standard_normal((3,) + (N,) * g.p)
+        if g.flavor == "parity":
+            dense = dense + 1j * rng.standard_normal(dense.shape)
+    assert _evaluate_stack(g, dense).tobytes() == oracle_contract(g, dense).tobytes()
+    assert _bits(evaluate(g, dense[0])) == oracle_contract(g, dense[:1]).tobytes()
+
+
+def test_a_refused_graph_is_refused_on_every_call():
+    rng = np.random.default_rng(3)
+    broken = TraceGraph(2, 2, "real", (((0, 1), (1, 1)),))
+    t = random_tensor("sym", 2, 2, rng)
+    wide = random_tensor("sym", 52, 1, rng)
+    size = _plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid graph: 2 slots are unmatched"):
+            evaluate(broken, t)
+        with pytest.raises(ValueError, match="53 index labels"):
+            evaluate(melon_graph(52), wide)
+    assert _plan.cache_info().currsize == size
+
+
+def test_each_graph_and_dimension_is_compiled_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr("gte.invariants.validate", lambda g: checked.append(g) or validate(g))
+    _plan.cache_clear()
+    rng = np.random.default_rng(4)
+    graphs = enumerate_rank2(4)
+    for _ in range(5):
+        for g in graphs:
+            for N in (2, 3):
+                evaluate(g, random_tensor("sym", 4, N, rng))
+    assert len(checked) == 2 * len(graphs)
+
+
+def test_repeated_calls_find_their_program_cached():
+    # perfbench's invariants.plan_cache_hit_ratio reads these counts as
+    # "evaluate calls that found their program cached"
+    g, n = enumerate_rank2(6)[1], 9
+    dense = np.random.default_rng(6).standard_normal((2,) * 6)
+    _plan.cache_clear()
+    for _ in range(n):
+        evaluate(g, dense)
+    info = _plan.cache_info()
+    assert (info.hits, info.misses) == (n - 1, 1)
 
 
 # -- exact invariance --------------------------------------------------------
