@@ -223,7 +223,8 @@ def _seed_words_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            # PCG64 passes the type np.uint64 itself: test it before building a dtype
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError("only the four uint64 words that seed PCG64 are stored")
             return self.words
 

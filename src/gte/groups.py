@@ -353,17 +353,25 @@ def theta_derivative(t: CanonicalTensor) -> CanonicalTensor:
     """Derivative of theta -> act(givens_rotation(theta), t) at theta = 0.
 
     For a real-symmetric tensor this is the sum over legs of the rotations'
-    generator A (A[0, 1] = -1, A[1, 0] = 1) applied to that leg.
+    generator A (A[0, 1] = -1, A[1, 0] = 1) applied to that leg; the one-tensor
+    call of ``_theta_derivative_stack``.
     """
     if t.class_tag != "sym":
         raise ValueError("theta_derivative expects a real-symmetric tensor")
     if t.N < 2:
         raise ValueError("plane rotations need N >= 2")
-    A = np.zeros((t.N, t.N))
+    return canonicalize(_theta_derivative_stack(densify(t)[None])[0], "sym")
+
+
+def _theta_derivative_stack(dense: np.ndarray) -> np.ndarray:
+    """The rotation derivative of each real tensor of a (B, N, ..., N) stack,
+    dense: A applied to each leg, the terms summed in leg order into zeros.
+    Each term entry of a finite tensor is +-1 times one of its entries plus
+    exact zeros, so its bits do not depend on the stack it is in."""
+    N = dense.shape[1]
+    A = np.zeros((N, N))
     A[0, 1], A[1, 0] = -1.0, 1.0
-    dense = densify(t)
     out = np.zeros_like(dense)
-    for leg in range(t.p):
-        term = np.tensordot(dense, A, axes=([leg], [1]))
-        out += np.moveaxis(term, -1, leg)
-    return canonicalize(out, "sym")
+    for leg in range(1, dense.ndim):
+        out += np.moveaxis(np.tensordot(dense, A, axes=([leg], [1])), -1, leg)
+    return out

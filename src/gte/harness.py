@@ -28,17 +28,18 @@ while the melon subtest doubles as an exact-invariance sanity check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import (EnsembleSpec, _Law, _moments, _normal_block, _spec_law, _stream,
                         _streams)
-from .groups import (act_dense, givens_rotation, theta_derivative,
-                     _act_stack, _check_members, _haar_matrices, _haar_shape)
+from .groups import (givens_rotation, _act_stack, _check_members, _haar_matrices, _haar_shape,
+                     _theta_derivative_stack)
 from .invariants import melon_graph, _evaluate_stack
-from .tensor import (CanonicalTensor, class_count, densify, identity_tensor, _canonical_rows,
-                     _class_info, _densify_stack)
+from .tensor import (canonicalize, class_count, identity_tensor, _canonical_flat, _canonical_rows,
+                     _class_info, _densify_stack, _CLASS_RTOL)
 
 __all__ = [
     "ALPHA",
@@ -280,16 +281,16 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
     X = np.concatenate([vals.reshape(len(vals), -1) for vals, _ in _draws(law, seed, n_samples)])
     n = n_samples
     rows = []
-    live = []
+    live = []   # (j, centered column, sample std) of each live entry
     for j in range(mu.size):
         name = f"entry[{j}]"
         if var[j] == 0.0:
             dev = float(np.max(np.abs(X[:, j] - mu[j])))
             rows.append((0.0, f"{name}.const", dev, None))
             continue
-        live.append(j)
         sd = np.sqrt(var[j])
         centered = X[:, j] - np.mean(X[:, j])
+        live.append((j, centered, np.std(X[:, j])))
         checks = [
             ("mean", abs(np.mean(X[:, j]) - mu[j]) / (sd / np.sqrt(n))),
             ("var", abs(np.var(X[:, j], ddof=1) - var[j])
@@ -299,14 +300,11 @@ def gaussianity_independence_test(sampler, n_samples: int = 5000, seed: int = 0,
              / np.sqrt(96.0 * sd ** 8 / n)),
         ]
         rows += [("z", f"{name}.{tag}", z, None) for tag, z in checks]
-    for a in range(len(live)):
-        for b in range(a + 1, len(live)):
-            ja, jb = live[a], live[b]
-            sa = np.std(X[:, ja])
-            sb = np.std(X[:, jb])
+    for a, (ja, xa_c, sa) in enumerate(live):
+        for jb, xb_c, sb in live[a + 1:]:
             if sa == 0.0 or sb == 0.0:
                 continue  # the variance subtest already failed for that entry
-            r = float(np.mean((X[:, ja] - X[:, ja].mean()) * (X[:, jb] - X[:, jb].mean())) / (sa * sb))
+            r = float(np.mean(xa_c * xb_c) / (sa * sb))
             rows.append(("z", f"corr[{ja},{jb}]", abs(r) * np.sqrt(n), None))
     return _finish("gaussianity-independence", rows, n_samples, seed)
 
@@ -315,21 +313,47 @@ def derivative_identity_test(n_trials: int = 100, seed: int = 0) -> Verification
     """Analytic rotation derivative vs the central finite difference of the
     one-parameter action at theta = 0, step h = 1e-5, on random symmetric
     tensors with p <= 4, N <= 3; each (p, N) passes when its largest error
-    is at most 1e-6."""
+    is at most 1e-6.  Trial i draws configuration i % 8 from stream i, and
+    each chunk of trials runs as one stack per configuration."""
     h, tol = 1e-5, 1e-6
     configs = [(p, N) for p in (1, 2, 3, 4) for N in (2, 3)]
+    n_trials = operator.index(n_trials)
     if n_trials < len(configs):
         raise ValueError(f"need at least {len(configs)} trials, one per (p, N) "
                          f"configuration, got {n_trials}")
-    worst = {c: 0.0 for c in configs}
-    for i, rng in enumerate(_streams(seed, 0, n_trials)):
-        p, N = configs[i % len(configs)]
-        t = CanonicalTensor("sym", p, N, {(): rng.standard_normal(class_count(p, N))})
-        analytic = densify(theta_derivative(t))
-        up = act_dense(givens_rotation(h, N, "orthogonal"), t)
-        dn = act_dense(givens_rotation(-h, N, "orthogonal"), t)
-        err = float(np.max(np.abs(analytic - (up - dn) / (2.0 * h))))
-        worst[(p, N)] = max(worst[(p, N)], err)
+    info, worst = _class_info("sym"), {c: 0.0 for c in configs}
+    steps = {(p, N): [givens_rotation(s, N, "orthogonal").matrix for s in (h, -h)]
+             for p, N in configs}
+    # as many trials per chunk as dense tensors of the largest configuration fit
+    size = max(1, _CHUNK_BYTES // (8 * max(N ** p for p, N in configs)))
+    rngs, period = _streams(seed, 0, n_trials), len(configs)
+    for start in range(0, n_trials, size):
+        stop = min(start + size, n_trials)
+        # trial i reads its normals into row (i - start) // 8 of its configuration's block
+        blocks = [np.empty((len(range(start + (k - start) % period, stop, period)), 1,
+                            class_count(p, N))) for k, (p, N) in enumerate(configs)]
+        for i in range(start, stop):
+            next(rngs).standard_normal(out=blocks[i % period][(i - start) // period, 0])
+        for (p, N), vals in zip(configs, blocks):
+            if not len(vals):
+                continue
+            if not np.isfinite(vals).all():
+                raise ValueError("sym values must be finite")
+            dense = _densify_stack(info, p, N, vals)
+            deriv = _theta_derivative_stack(dense).reshape(len(dense), -1)
+            analytic = _densify_stack(info, p, N, deriv[:, None, _canonical_flat(p, N)])
+            # canonicalize's class check, per tensor (the bound is finite iff the
+            # tensor is); canonicalize raises the error of a tensor that fails it
+            bound = _CLASS_RTOL * np.max(np.abs(deriv), axis=1)
+            dev = np.max(np.abs(deriv - analytic.reshape(deriv.shape)), axis=1)
+            ok = np.isfinite(bound) & (dev <= bound)
+            if not ok.all():
+                canonicalize(deriv[np.argmin(ok)].reshape(dense.shape[1:]), "sym")
+            up, dn = (_act_stack("orthogonal", np.broadcast_to(mat, (len(dense), N, N)), dense, p)
+                      for mat in steps[(p, N)])
+            up -= dn
+            up /= 2.0 * h
+            worst[(p, N)] = max(worst[(p, N)], float(np.max(np.abs(analytic - up))))
     rows = [(tol, f"p={p},N={N}", e, None) for (p, N), e in worst.items()]
     return _finish("derivative-identity", rows, n_trials, seed)
 

@@ -248,6 +248,22 @@ def oracle_contract(g, dense):
     return _real_part(val) if g.flavor == "real" else np.asarray(val, dtype=complex)
 
 
+# The per-tensor loop of :func:`gte.groups.theta_derivative` that the stacked
+# kernel :func:`gte.groups._theta_derivative_stack` replaced, kept as its
+# oracle: every tensor of a stack must equal it byte for byte.
+
+def oracle_theta_derivative(dense):
+    """The rotation derivative of one dense real tensor, before canonicalize."""
+    N, p = dense.shape[0], dense.ndim
+    A = np.zeros((N, N))
+    A[0, 1], A[1, 0] = -1.0, 1.0
+    out = np.zeros_like(dense)
+    for leg in range(p):
+        term = np.tensordot(dense, A, axes=([leg], [1]))
+        out += np.moveaxis(term, -1, leg)
+    return out
+
+
 def constant_sampler(t: CanonicalTensor):
     """The degenerate law at ``t``: it reads nothing from its stream."""
     return _Law(t.class_tag, t.p, t.N, 0,

@@ -13,7 +13,8 @@ the sampler can show that it changes nothing:
 * the sha256 of ``json.dumps(report_to_dict(report), sort_keys=True)`` for
   the verification suites (seed 0, n = 200), so every subtest statistic,
   p-value and verdict is pinned, on the ensemble path and on the block path
-  of the designed counterexample laws.
+  of the designed counterexample laws, and for the derivative-identity suite
+  at (n, seed) = (100, 0), (100, 300) and (8, 0).
 """
 
 import hashlib
@@ -24,6 +25,7 @@ import pytest
 
 from gte import CanonicalTensor, ClassViolationError, EnsembleSpec, canonicalize, sample_batch
 from gte.harness import (
+    derivative_identity_test,
     gaussianity_independence_test,
     invariance_test,
     isotropy_test,
@@ -137,3 +139,17 @@ def test_suite_reports_are_pinned(name):
     report = suite(sampler, n_samples=200, seed=0)
     text = json.dumps(report_to_dict(report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
+DERIVATIVE_SHA256 = {
+    (100, 0): "28b2b69eb91c4ea862e086e0d75bdf6da03c1be1bf90a6f41a4a3fd21bc5acde",
+    (100, 300): "989f2bcaa9ae619a31f39687748f530ee7d688e26b12b938196924b7bbaeb0f8",
+    (8, 0): "3975b2f3568fb2e48485df3297ca79297f5a3e2e8104bdb72d0276acf527621a",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(DERIVATIVE_SHA256))
+def test_derivative_reports_are_pinned(n, seed):
+    report = derivative_identity_test(n_trials=n, seed=seed)
+    text = json.dumps(report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DERIVATIVE_SHA256[(n, seed)]

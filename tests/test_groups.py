@@ -18,20 +18,23 @@ from gte.groups import (
     _haar_matrices,
     _leg_matrices,
     _sweep_sizes,
+    _theta_derivative_stack,
 )
 from conftest import (oracle_act_stack, oracle_haar_embed, oracle_leg_matrices,
-                      oracle_symplectic_form, random_tensor)
+                      oracle_symplectic_form, oracle_theta_derivative, random_tensor)
 from gte.ensembles import EnsembleSpec, sample
 from gte.tensor import (
     CLASS_TAGS,
     CanonicalTensor,
     ClassViolationError,
     canonical_indices,
+    canonicalize,
     class_count,
     densify,
     frobenius_norm_sq,
     identity_tensor,
     _class_info,
+    _densify_stack,
 )
 
 
@@ -348,6 +351,23 @@ def test_theta_derivative_p1_oracle():
     d = theta_derivative(t)
     got = d.values
     assert np.allclose(got, [-5.0, 2.0, 0.0]) or np.allclose(got, [5.0, -2.0, 0.0])
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in (1, 2, 3, 4) for N in (2, 3)])
+def test_theta_derivative_stack_matches_the_per_tensor_oracle_byte_for_byte(p, N):
+    # a stack of 3: a generic tensor, one with -0.0 entries, the zero tensor
+    vals = np.random.default_rng(10 * p + N).standard_normal((3, 1, class_count(p, N)))
+    vals[1, 0, ::2] = -0.0
+    vals[2] = 0.0
+    dense = _densify_stack(_class_info("sym"), p, N, vals)
+    got = _theta_derivative_stack(dense)
+    assert got.shape == dense.shape
+    for b in range(3):
+        assert got[b].tobytes() == oracle_theta_derivative(dense[b]).tobytes()
+    # theta_derivative is the kernel's one-tensor call
+    t = CanonicalTensor("sym", p, N, vals[1])
+    want = canonicalize(oracle_theta_derivative(densify(t)), "sym")
+    assert theta_derivative(t).array.tobytes() == want.array.tobytes()
 
 
 def test_theta_derivative_matches_finite_difference():

@@ -27,7 +27,8 @@ from gte.harness import (
     _draws,
     _finish,
 )
-from gte.tensor import CanonicalTensor, frobenius_norm_sq, shifted_by_identity, zeros
+from gte.tensor import (CanonicalTensor, ClassViolationError, frobenius_norm_sq,
+                        shifted_by_identity, zeros)
 
 from conftest import (constant_sampler, oracle_rotated_spike_sampler, oracle_sphere_sampler,
                       oracle_uniform_entry_sampler)
@@ -49,6 +50,40 @@ def test_derivative_identity_refuses_untested_configurations(n_trials):
         derivative_identity_test(n_trials=n_trials, seed=0)
     rep = derivative_identity_test(n_trials=8, seed=0)
     assert rep.passed and rep.n_samples == 8 and len(rep.subtests) == 8
+
+
+@pytest.mark.parametrize("n_trials", [8.0, 8.5, "8"])
+def test_derivative_identity_refuses_a_non_integer_count_before_drawing(monkeypatch, n_trials):
+    def no_streams(*args, **kwargs):
+        raise AssertionError("read a stream before refusing")
+
+    monkeypatch.setattr(gte.harness, "_streams", no_streams)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        derivative_identity_test(n_trials=n_trials, seed=0)
+
+
+@pytest.mark.parametrize("trials_per_chunk", [1, 5])
+def test_derivative_identity_report_does_not_depend_on_the_chunk(monkeypatch, trials_per_chunk):
+    # a chunk holds _CHUNK_BYTES of dense tensors of the largest configuration,
+    # p = 4, N = 3: 648 bytes each
+    def text():
+        return json.dumps(report_to_dict(derivative_identity_test(n_trials=100, seed=2)),
+                          sort_keys=True)
+
+    want = text()
+    monkeypatch.setattr(gte.harness, "_CHUNK_BYTES", 648 * trials_per_chunk)
+    assert text() == want
+
+
+def test_derivative_identity_raises_canonicalize_error_on_an_off_class_derivative(monkeypatch):
+    def skewed(dense):
+        out = dense.copy()
+        out.reshape(len(out), -1)[:, 1] += 1.0     # entry (1, ..., 1, 2) leaves its class at p >= 2
+        return out
+
+    monkeypatch.setattr(gte.harness, "_theta_derivative_stack", skewed)
+    with pytest.raises(ClassViolationError, match="deviates from the value implied by"):
+        derivative_identity_test(n_trials=8, seed=0)
 
 
 @pytest.mark.parametrize("kind,p,N", [
